@@ -16,10 +16,9 @@ import json
 import sys
 
 from . import extrema, holder, selfaffine, svgplot
-from .codec import DigitString, decode, encode
+from .codec import Cylinder, DigitString, FrequencyVector, cylinder_bounds, decode, encode
 from .config import SystemConfig, load_config
 from .errors import ConditionsNotMet, QsAffineError, ValidationError
-from .selfaffine import SelfAffineSystem
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -115,42 +114,29 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     if k is not None:
         m_val = extrema.closed_form_min(system)
         big_m, _ = extrema.closed_form_max(system)
-        bounds = {
-            "m": m_val,
-            "M": big_m,
-            "source": "closed-form",
-            "tolerance": extrema.ORACLE_TOL,
-            "oracle_iterations": oracle.iterations,
-            "oracle_residual": oracle.residual,
-        }
+        source, bounds_tol = "closed-form", extrema.ORACLE_TOL
     else:
-        bounds = {
-            "m": oracle.m,
-            "M": oracle.M,
-            "source": "oracle",
-            "tolerance": oracle.residual,
-            "oracle_iterations": oracle.iterations,
-            "oracle_residual": oracle.residual,
-        }
+        m_val, big_m = oracle.m, oracle.M
+        source, bounds_tol = "oracle", oracle.residual
+    bounds = {
+        "m": m_val,
+        "M": big_m,
+        "source": source,
+        "tolerance": bounds_tol,
+        "oracle_iterations": oracle.iterations,
+        "oracle_residual": oracle.residual,
+    }
 
+    # Rows ascend by value; each takes the digits of its level set that no earlier row holds.
     levels = []
-    quotients = sorted(
-        (delta[i] / (1.0 - g[i]), i) for i in range(system.s)
-    )
-    grouped: list[dict] = []
-    for y, i in quotients:
-        if grouped and abs(y - grouped[-1]["y"]) <= tolerance:
-            grouped[-1]["digits"].append(i)
-        else:
-            grouped.append({"y": y, "digits": [i]})
-    for row in grouped:
+    placed: set[int] = set()
+    for y, i in sorted((delta[i] / (1.0 - g[i]), i) for i in range(system.s)):
+        if i in placed:
+            continue
+        digits = extrema.level_set(system, y, tolerance).V - placed
+        placed |= digits
         levels.append(
-            {
-                "y": row["y"],
-                "digits": sorted(row["digits"]),
-                "continuum": len(row["digits"]) >= 2,
-                "tolerance": tolerance,
-            }
+            {"y": y, "digits": sorted(digits), "continuum": len(digits) >= 2, "tolerance": tolerance}
         )
 
     exponents = {
@@ -320,12 +306,7 @@ def _cmd_encode(args) -> None:
     system = config.system()
     depth = args.depth if args.depth is not None else system.default_depth
     d = encode(args.x, system.Q, depth)
-    if d.period is None:
-        bound = 1.0
-        for dig in d.prefix:
-            bound *= system.Q.q[dig]
-    else:
-        bound = 0.0
+    bound = 0.0 if d.period is not None else cylinder_bounds(Cylinder(d.prefix), system.Q)[2]
     payload = {"digits": d.to_text(), "exact": d.period is not None, "error_bound": bound}
     _text_or_json(args, payload, f"digits {d.to_text()}\nerror_bound {_f(bound)}\n")
 
@@ -335,12 +316,7 @@ def _cmd_decode(args) -> None:
     system = config.system()
     d = DigitString.from_text(args.digits, system.s)
     x = decode(d, system.Q)
-    if d.period is None:
-        bound = 1.0
-        for dig in d.prefix:
-            bound *= system.Q.q[dig]
-    else:
-        bound = 0.0
+    bound = 0.0 if d.period is not None else cylinder_bounds(Cylinder(d.prefix), system.Q)[2]
     payload = {"x": x, "error_bound": bound}
     _text_or_json(args, payload, f"x {_f(x)}\nerror_bound {_f(bound)}\n")
 
@@ -365,16 +341,19 @@ def _cmd_holder(args) -> None:
     elif args.ae:
         report = holder.almost_everywhere_exponent(system)
     elif args.nu is not None:
-        from .codec import FrequencyVector
-
-        nu = FrequencyVector(
-            tuple(float(t) for t in args.nu.split(",")), n=0, exact=True
-        )
-        report = holder.local_exponent_unary(system, nu)
+        try:
+            nu = tuple(float(t) for t in args.nu.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"--nu must be comma-separated numbers; got {args.nu!r}") from exc
+        report = holder.local_exponent_unary(system, FrequencyVector(nu, n=0, exact=True))
     elif args.digits is not None:
         lo, _, hi = args.ranks.partition(":")
+        try:
+            ranks = range(int(lo), int(hi) + 1)
+        except ValueError as exc:
+            raise ValidationError(f"--ranks must be A:B with integers; got {args.ranks!r}") from exc
         d = DigitString.from_text(args.digits, system.s)
-        report = holder.empirical_exponent(system, d, range(int(lo), int(hi) + 1))
+        report = holder.empirical_exponent(system, d, ranks)
     else:
         report = holder.global_exponent(system)
     payload = {"exponent": report.exponent, "kind": report.kind, "note": report.note}

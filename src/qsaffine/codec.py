@@ -8,9 +8,13 @@ sequence ``a_1 a_2 ...`` sums to
 
     beta_{a_1} + sum_{k>=2} beta_{a_k} * prod_{j<k} q_{a_j}.
 
-This module implements both directions together with cylinder intervals,
-digit statistics, run lengths, and the bookkeeping for points that admit two
-expansions (a terminating one and its all-high twin).
+The self-affine function is the same construction, with digit ``d`` acting
+as ``t -> offset_d + scale_d * t``: ``(beta, q)`` gives x, ``(delta, g)``
+gives f.  This module owns both walks: ``walk`` composes the maps into a
+value and ``unwalk`` descends greedily from a value back to digits;
+``selfaffine`` and ``extrema`` reuse them.  Around them sit cylinder
+intervals, digit statistics, run lengths, and the bookkeeping for points
+that admit two expansions (a terminating one and its all-high twin).
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Callable
 
 from .errors import (
     AlphabetMismatch,
@@ -28,9 +34,30 @@ from .errors import (
 )
 
 #: Tolerance on the "weights sum to one" checks.  Inputs outside it are
-#: rejected, never renormalized: silently rescaling q would desynchronize the
-#: stored offsets from the weights.
+#: rejected, never renormalized: silently rescaling the weights would
+#: desynchronize the stored offsets from them.
 SUM_TOL = 1e-12
+
+
+def running_sums(values, name: str, admissible: Callable[[float], bool], rule: str):
+    """Validate a weight vector summing to 1; return it with its running sums.
+
+    Each of the at least 2 entries must pass ``admissible``, the condition
+    that ``rule`` states in errors.  The offsets are the partial sums taken
+    left to right, starting at ``offsets[0] == 0.0``.
+    """
+    values = tuple(float(v) for v in values)
+    if len(values) < 2:
+        raise ValidationError("alphabet size must be at least 2")
+    for i, v in enumerate(values):
+        if not admissible(v):
+            raise ValidationError(f"{name}[{i}] = {v!r} must satisfy {rule}")
+    total = math.fsum(values)
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValidationError(
+            f"{name} must sum to 1 within {SUM_TOL:g}; got sum = {total!r}"
+        )
+    return values, (0.0, *accumulate(values[:-1]))
 
 
 @dataclass(frozen=True)
@@ -46,24 +73,9 @@ class StochasticVector:
     s: int = field(init=False)
 
     def __post_init__(self) -> None:
-        q = tuple(float(v) for v in self.q)
-        if len(q) < 2:
-            raise ValidationError("alphabet size must be at least 2")
-        for i, v in enumerate(q):
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValidationError(f"weight q[{i}] = {v!r} is not strictly positive")
-        total = math.fsum(q)
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(
-                f"weights must sum to 1 within {SUM_TOL:g}; got sum = {total!r}"
-            )
-        beta = []
-        acc = 0.0
-        for v in q:
-            beta.append(acc)
-            acc += v
+        q, beta = running_sums(self.q, "q", lambda v: 0.0 < v < math.inf, "0 < q < inf")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "beta", tuple(beta))
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "s", len(q))
 
 
@@ -158,19 +170,18 @@ class DigitString:
     @classmethod
     def from_text(cls, text: str, s: int) -> "DigitString":
         text = text.strip()
-        period: tuple[int, ...] | None = None
-        if "(" in text:
-            head, _, tail = text.partition("(")
+        head, paren, tail = text.partition("(")
+        if paren:
             tail = tail.strip()
             if not tail.endswith(")"):
                 raise ValidationError(f"unbalanced period parenthesis in {text!r}")
             body = tail[:-1].strip()
             if not body:
                 raise ValidationError("period must contain at least one digit")
-            period = tuple(int(t) for t in body.split(","))
-            text = head.rstrip(", ")
+            head = head.rstrip(", ")
         try:
-            prefix = tuple(int(t) for t in text.split(",")) if text else ()
+            prefix = tuple(int(t) for t in head.split(",")) if head else ()
+            period = tuple(int(t) for t in body.split(",")) if paren else None
         except ValueError as exc:
             raise ValidationError(f"malformed digit string {text!r}") from exc
         return cls(prefix, period, s)
@@ -219,9 +230,53 @@ class FrequencyVector:
         return len(self.nu)
 
 
-def _check_alphabet(d: DigitString, s: int) -> None:
+def check_alphabet(d: DigitString, s: int) -> None:
+    """Raise ``InvalidDigit`` unless ``d`` is a string over the alphabet of size ``s``."""
     if d.s != s:
         raise InvalidDigit(f"digit string over alphabet {d.s} used with alphabet {s}")
+
+
+def walk(digits, offsets, scales, acc: float = 0.0, prod: float = 1.0) -> tuple[float, float]:
+    """Compose the maps ``t -> offsets[d] + scales[d] * t`` of ``digits``.
+
+    Starting from the map ``t -> acc + prod * t``, returns the composed
+    ``(acc, prod)``: ``acc`` is the value of ``digits`` followed by zeros and
+    ``prod`` the scale left on the tail.
+    """
+    for d in digits:
+        acc += offsets[d] * prod
+        prod *= scales[d]
+    return acc, prod
+
+
+def unwalk(t: float, offsets, scales, depth: int, top: tuple[int, ...] | None):
+    """Greedy inverse of ``walk``: ``(digits, period)`` of ``t`` in [0, 1].
+
+    Each step takes the digit ``d`` with ``offsets[d] <= t < offsets[d+1]``
+    (the larger digit on a tie) and renormalizes ``t`` to ``(t - offsets[d])
+    / scales[d]``, clamped to [0, 1].  A residue of exactly 0 closes with
+    period ``(0,)``, one of exactly 1 with ``top`` when given; after
+    ``depth`` digits the period is None (truncated).
+    """
+    if depth < 1:
+        raise ValidationError("depth must be at least 1")
+    t = float(t)
+    if math.isnan(t) or t < 0.0 or t > 1.0:
+        raise OutOfDomain(f"value {t!r} outside [0, 1]")
+    digits: list[int] = []
+    for _ in range(depth):
+        if t == 0.0:
+            return tuple(digits), (0,)
+        if t == 1.0 and top is not None:
+            return tuple(digits), top
+        d = bisect_right(offsets, t) - 1
+        digits.append(d)
+        t = (t - offsets[d]) / scales[d]
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+    return tuple(digits), None
 
 
 def periodic_tail_value(
@@ -238,11 +293,7 @@ def periodic_tail_value(
         return 0.0
     if period == (s - 1,):
         return 1.0
-    pacc = 0.0
-    pprod = 1.0
-    for d in period:
-        pacc += offsets[d] * pprod
-        pprod *= scales[d]
+    pacc, pprod = walk(period, offsets, scales)
     return pacc / (1.0 - pprod)
 
 
@@ -254,15 +305,10 @@ def decode(d: DigitString, Q: StochasticVector) -> float:
     error is at most the cylinder length, i.e. the product of the consumed
     weights (see ``cylinder_bounds``).
     """
-    _check_alphabet(d, Q.s)
-    beta, q = Q.beta, Q.q
-    acc = 0.0
-    prod = 1.0
-    for dig in d.prefix:
-        acc += beta[dig] * prod
-        prod *= q[dig]
+    check_alphabet(d, Q.s)
+    acc, prod = walk(d.prefix, Q.beta, Q.q)
     if d.period is not None:
-        acc += prod * periodic_tail_value(d.period, beta, q, Q.s)
+        acc += prod * periodic_tail_value(d.period, Q.beta, Q.q, Q.s)
     if acc < 0.0:
         return 0.0
     if acc > 1.0:
@@ -280,27 +326,8 @@ def encode(x: float, Q: StochasticVector, depth: int) -> DigitString:
     otherwise the truncated prefix is returned and ``decode`` of the result
     is within ``prod q_{a_j}`` of ``x``.
     """
-    if depth < 1:
-        raise ValidationError("encoding depth must be at least 1")
-    x = float(x)
-    if math.isnan(x) or x < 0.0 or x > 1.0:
-        raise OutOfDomain(f"point {x!r} outside [0, 1]")
-    beta, q = Q.beta, Q.q
-    digits: list[int] = []
-    t = x
-    for _ in range(depth):
-        if t == 0.0:
-            return DigitString(tuple(digits), (0,), Q.s)
-        if t == 1.0:
-            return DigitString(tuple(digits), (Q.s - 1,), Q.s)
-        d = bisect_right(beta, t) - 1
-        digits.append(d)
-        t = (t - beta[d]) / q[d]
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-    return DigitString(tuple(digits), None, Q.s)
+    digits, period = unwalk(x, Q.beta, Q.q, depth, (Q.s - 1,))
+    return DigitString(digits, period, Q.s)
 
 
 def twin_representation(d: DigitString) -> DigitString | None:
@@ -384,14 +411,10 @@ def cylinder_bounds(c: Cylinder, Q: StochasticVector) -> tuple[float, float, flo
     product of the base weights, and ``right = left + length`` equals the
     value of the base followed by high digits.
     """
-    left = 0.0
-    prod = 1.0
-    beta, q = Q.beta, Q.q
     for dig in c.base:
         if not 0 <= dig < Q.s:
             raise InvalidDigit(f"digit {dig} outside alphabet of size {Q.s}")
-        left += beta[dig] * prod
-        prod *= q[dig]
+    left, prod = walk(c.base, Q.beta, Q.q)
     return left, left + prod, prod
 
 

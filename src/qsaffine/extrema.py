@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .codec import DigitString, StochasticVector, twin_representation
+from .codec import DigitString, StochasticVector, twin_representation, unwalk
 from .errors import (
     CertificationError,
     ConditionsNotMet,
-    OutOfDomain,
     PreconditionViolated,
     ValidationError,
 )
@@ -185,9 +183,7 @@ def closed_form_max(system: SelfAffineSystem) -> tuple[float, frozenset[int]]:
     g, delta = system.G.g, system.G.delta
     quotients = [d / (1.0 - v) for d, v in zip(delta, g)]
     M = max(quotients)
-    V = frozenset(
-        i for i in range(system.s) if abs(delta[i] - (1.0 - g[i]) * M) <= LEVEL_TOL
-    )
+    V = level_set(system, M).V
     oracle = system.bounds
     if abs(M - oracle.M) > ORACLE_TOL:
         raise CertificationError(
@@ -220,9 +216,11 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
     telescopes through the shrinking products), so with two or more such
     digits the level set has the cardinality of the continuum.
     """
+    if not tol >= 0.0:
+        raise ValidationError(f"level tolerance must be non-negative; got {tol!r}")
     g, delta = system.G.g, system.G.delta
     V = frozenset(
-        i for i in range(system.s) if abs(delta[i] - (1.0 - g[i]) * y) <= tol
+        i for i in range(system.s) if abs(delta[i] / (1.0 - g[i]) - y) <= tol
     )
     return LevelSetDescriptor(y=float(y), V=V, continuum=len(V) >= 2)
 
@@ -338,31 +336,14 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
     The offsets delta_0, ..., delta_k climb from 0 past 1, so every residue
     lands in some bracket [delta_a, delta_{a+1}] with a < k; dividing out the
     (positive) ratio g_a renormalizes the residue into [0, 1] and the walk
-    repeats.  Ties at a bracket boundary take the larger digit.  The value of
-    the returned string is within ``preimage_residual_bound(system, depth)``
-    of y, and all its digits stay below k.
+    repeats (``codec.unwalk`` over the first k offsets, never closing at 1).
+    Ties at a bracket boundary take the larger digit.  The value of the
+    returned string is within ``preimage_residual_bound(system, depth)`` of
+    y, and all its digits stay below k.
     """
     k = _require_regime(system)
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
-    y = float(y)
-    if math.isnan(y) or y < 0.0 or y > 1.0:
-        raise OutOfDomain(f"target value {y!r} outside [0, 1]")
-    g = system.G.g
-    low_deltas = system.G.delta[:k]
-    digits: list[int] = []
-    t = y
-    for _ in range(depth):
-        if t == 0.0:
-            return DigitString(tuple(digits), (0,), system.s)
-        a = bisect_right(low_deltas, t) - 1
-        digits.append(a)
-        t = (t - low_deltas[a]) / g[a]
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-    return DigitString(tuple(digits), None, system.s)
+    digits, period = unwalk(y, system.G.delta[:k], system.G.g, depth, None)
+    return DigitString(digits, period, system.s)
 
 
 def non_invariance_certificate(

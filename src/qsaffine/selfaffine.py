@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .codec import DigitString, StochasticVector, encode, periodic_tail_value
+from .codec import (
+    DigitString, StochasticVector, check_alphabet, encode, periodic_tail_value, running_sums, walk,
+)
 from .errors import InvalidDigit, NonConvergence, ValidationError
-
-SUM_TOL = 1e-12
 
 #: Fixed-point iteration for the global bounds stops at this step size.
 BOUNDS_STEP_TOL = 1e-14
@@ -46,26 +46,9 @@ class AffineCoefficients:
     s: int = field(init=False)
 
     def __post_init__(self) -> None:
-        g = tuple(float(v) for v in self.g)
-        if len(g) < 2:
-            raise ValidationError("alphabet size must be at least 2")
-        for i, v in enumerate(g):
-            if not math.isfinite(v) or not 0.0 < abs(v) < 1.0:
-                raise ValidationError(
-                    f"ratio g[{i}] = {v!r} must satisfy 0 < |g| < 1"
-                )
-        total = math.fsum(g)
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(
-                f"ratios must sum to 1 within {SUM_TOL:g}; got sum = {total!r}"
-            )
-        delta = []
-        acc = 0.0
-        for v in g:
-            delta.append(acc)
-            acc += v
+        g, delta = running_sums(self.g, "g", lambda v: 0.0 < abs(v) < 1.0, "0 < |g| < 1")
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "delta", tuple(delta))
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "s", len(g))
 
 
@@ -172,16 +155,9 @@ def evaluate(system: SelfAffineSystem, d: DigitString) -> Evaluation:
     Truncated strings return the partial sum; the true value differs by at
     most ``(M - m) * prod |g_{a_j}|`` over the consumed digits.
     """
-    if d.s != system.s:
-        raise InvalidDigit(
-            f"digit string over alphabet {d.s} used with system of alphabet {system.s}"
-        )
+    check_alphabet(d, system.s)
     delta, g = system.G.delta, system.G.g
-    acc = 0.0
-    prod = 1.0
-    for dig in d.prefix:
-        acc += delta[dig] * prod
-        prod *= g[dig]
+    acc, prod = walk(d.prefix, delta, g)
     if d.period is None:
         return Evaluation(acc, system.bounds.span * abs(prod))
     acc += prod * periodic_tail_value(d.period, delta, g, system.s)
@@ -234,32 +210,25 @@ def _extreme_descent(
     maximum (minimum).  Descend until the hull width ``|p|*(M-m)`` drops
     below ``tol`` and return that cylinder's left endpoint and exact value.
     """
-    q, beta = system.Q.q, system.Q.beta
     g, delta = system.G.g, system.G.delta
     b = system.bounds
-    m, M, span = b.m, b.M, b.span
-    x = 0.0
-    qp = 1.0
+    hi, lo = (b.M, b.m) if maximize else (b.m, b.M)
+    sign = 1.0 if maximize else -1.0
+    digits: list[int] = []
     fa = 0.0
     gp = 1.0
-    rank = 0
-    while abs(gp) * span > tol and rank < cap:
+    while abs(gp) * b.span > tol and len(digits) < cap:
         best_dig = 0
         best_val = -math.inf
         for dig in range(system.s):
             gp2 = gp * g[dig]
-            hull = fa + gp * delta[dig] + (gp2 * M if gp2 > 0 else gp2 * m)
-            if not maximize:
-                hull = -(fa + gp * delta[dig] + (gp2 * m if gp2 > 0 else gp2 * M))
+            hull = sign * (fa + gp * delta[dig] + (gp2 * hi if gp2 > 0 else gp2 * lo))
             if hull > best_val:
                 best_val = hull
                 best_dig = dig
-        x += qp * beta[best_dig]
-        fa += gp * delta[best_dig]
-        qp *= q[best_dig]
-        gp *= g[best_dig]
-        rank += 1
-    return x, fa
+        digits.append(best_dig)
+        fa, gp = walk((best_dig,), delta, g, fa, gp)
+    return walk(digits, system.Q.beta, system.Q.q)[0], fa
 
 
 def sample(

@@ -2,9 +2,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qsaffine.cli import main
+from qsaffine.cli import build_analysis, main
+from qsaffine.config import SystemConfig, load_config
+from qsaffine.extrema import LEVEL_TOL, level_set
+from helpers import random_admissible_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -58,6 +62,47 @@ class TestAnalyze:
         assert rows[(1, 3)]["continuum"] is True
         assert rows[(1, 3)]["y"] == pytest.approx(0.625, abs=1e-12)
 
+    def test_levels_match_level_set(self):
+        rng = np.random.default_rng(5)
+        configs = [load_config(path) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
+        for n in range(8):
+            system = random_admissible_system(rng)
+            q_text = tuple(repr(v) for v in system.Q.q)
+            g_text = tuple(repr(v) for v in system.G.g)
+            configs.append(SystemConfig(q_text, g_text, f"random{n}"))
+        # Quotients -0.079, -0.033, 0 and 1: at tolerance 0.05 the level set of 0
+        # reaches back into the first row.
+        configs.append(SystemConfig(("0.25",) * 4, ("-0.075", "0.05", "0.25", "0.775"), "overlap"))
+        for config in configs:
+            system = config.system()
+            g, delta = system.G.g, system.G.delta
+            # The rows do not depend on the preimage depth.  At the default 64,
+            # draw 4 is one of the regime systems whose guaranteed preimage
+            # residual falls below double rounding, which the non-invariance
+            # certificate rejects (an open defect of its own).
+            for tol in (LEVEL_TOL, 0.0, 0.05):
+                report = build_analysis(config, tol, 16)
+                # Reference grouping: sorted quotients, each group holding the
+                # quotients within tol of its first.
+                expected: list[tuple[float, list[int]]] = []
+                for y, i in sorted((delta[i] / (1.0 - g[i]), i) for i in range(system.s)):
+                    if expected and abs(y - expected[-1][0]) <= tol:
+                        expected[-1][1].append(i)
+                    else:
+                        expected.append((y, [i]))
+                rows = report["levels"]
+                assert [(r["y"], r["digits"]) for r in rows] == [
+                    (y, sorted(ds)) for y, ds in expected
+                ], config.label
+                placed: set[int] = set()
+                for row in rows:
+                    desc = level_set(system, row["y"], tol)
+                    assert row["digits"] == sorted(desc.V - placed), config.label
+                    assert row["continuum"] == (len(row["digits"]) >= 2), config.label
+                    placed |= desc.V
+                every = sorted(d for row in rows for d in row["digits"])
+                assert every == list(range(system.s)), config.label
+
     def test_text_and_json_are_byte_stable(self, capsys):
         for fmt in ("text", "json"):
             _, out1, _ = run(capsys, "analyze", "--config", cfg("deep_min_s3"), "--format", fmt)
@@ -94,10 +139,20 @@ class TestExitCodes:
         )
         assert rc == 4
 
-    def test_bad_digit_string_is_2(self, capsys):
-        rc, _, err = run(capsys, "eval", "--config", cfg("cantor_max"), "--digits", "(7)")
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["eval", "--digits", "(7)"], "InvalidDigit"),
+            (["eval", "--digits", "(a)"], "ValidationError"),
+            (["holder", "--digits", "(1)", "--ranks", "a:b"], "ValidationError"),
+            (["holder", "--nu", "x,y,z"], "ValidationError"),
+        ],
+        ids=["digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "nu-not-numbers"],
+    )
+    def test_bad_digit_string_is_2(self, capsys, argv, error):
+        rc, _, err = run(capsys, *argv, "--config", cfg("cantor_max"))
         assert rc == 2
-        assert json.loads(err)["error"] == "InvalidDigit"
+        assert json.loads(err)["error"] == error
 
     def test_unsupported_format_is_2(self, capsys):
         rc, _, err = run(capsys, "analyze", "--config", cfg("identity"), "--format", "csv")

@@ -36,6 +36,7 @@ from helpers import (
     ROUGH_S3,
     SINGULAR_S3,
     random_regime_system,
+    system as make_system,
 )
 
 
@@ -102,6 +103,32 @@ class TestLevelSets:
             desc = level_set(system, 0.0)
             assert desc.V == frozenset({0})
             assert not desc.continuum
+
+    def test_digit_in_level_set_of_its_own_value(self):
+        # level_sets puts digits 1 and 3 at 0.625; digit 3's quotient rounds
+        # to 0.6249999999999999, which must still hold digit 3 at tolerance 0.
+        for system in (CANTOR_MAX, LEVEL_SETS, SINGULAR_S3, ROUGH_S3, DEEP_MIN_S3, IDENTITY_S3):
+            g, delta = system.G.g, system.G.delta
+            for i in range(system.s):
+                assert i in level_set(system, delta[i] / (1.0 - g[i]), 0.0).V
+
+    def test_tolerance_is_measured_on_the_value(self):
+        # Membership is |delta_i / (1 - g_i) - y| <= tol, whatever the ratio:
+        # the residual delta_i - (1 - g_i) y would scale the tolerance by
+        # 1 / (1 - g_i), 1000 times looser at g_i = 0.999 and 1.5 times
+        # stricter at g_i = -0.5.  Digit 1 sits at 0.5 in both systems.
+        near_critical = make_system((0.25, 0.5, 0.25), (0.0005, 0.999, 0.0005))
+        negative = make_system((0.25, 0.5, 0.25), (0.75, -0.5, 0.75))
+        for case in (near_critical, negative):
+            g, delta = case.G.g, case.G.delta
+            y1 = delta[1] / (1.0 - g[1])
+            assert y1 == pytest.approx(0.5, abs=1e-15)
+            assert level_set(case, y1 + 0.75e-10).V == frozenset({1})
+            assert level_set(case, y1 + 2e-10).V == frozenset()
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValidationError):
+            level_set(LEVEL_SETS, 0.625, -1.0)
 
     def test_maximum_level(self):
         desc = level_set(CANTOR_MAX, 2.0)
