@@ -6,7 +6,8 @@ level | preimage | variation.  Every command takes ``--config FILE`` (see
 and ``--out``.  Outputs are deterministic: floats are printed with 17
 significant digits, JSON keys are sorted, and no timestamps or machine data
 are ever emitted.  Exit codes: 0 success, 2 validation failure, 3 closed-form
-regime not met, 4 I/O failure.
+regime not met, 4 I/O failure, 5 internal failure (a failed cross-check of
+the library itself, not bad input).
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import sys
 from . import extrema, holder, selfaffine, svgplot
 from .codec import Cylinder, DigitString, FrequencyVector, cylinder_bounds, decode, encode
 from .config import SystemConfig, load_config
-from .errors import ConditionsNotMet, QsAffineError, ValidationError
+from .errors import CertificationError, ConditionsNotMet, QsAffineError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONDITIONS = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 ANALYZE_SAMPLES = 16
 ANALYZE_SEED = 0
@@ -427,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConditionsNotMet as exc:
         _diagnostic(exc)
         return EXIT_CONDITIONS
+    except CertificationError as exc:
+        _diagnostic(exc)
+        return EXIT_INTERNAL
     except QsAffineError as exc:
         _diagnostic(exc)
         return EXIT_VALIDATION
@@ -444,3 +449,7 @@ def _diagnostic(exc: Exception) -> None:
 
 def console_entry() -> None:  # pragma: no cover - thin wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

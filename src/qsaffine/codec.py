@@ -219,8 +219,8 @@ class FrequencyVector:
 
     def __post_init__(self) -> None:
         nu = tuple(float(v) for v in self.nu)
-        if any(v < 0.0 or v > 1.0 for v in nu):
-            raise ValidationError("frequencies must lie in [0, 1]")
+        if not all(0.0 <= v <= 1.0 for v in nu):
+            raise ValidationError("frequencies must be finite and lie in [0, 1]")
         if self.exact and abs(math.fsum(nu) - 1.0) > SUM_TOL:
             raise ValidationError("exact frequencies must sum to 1")
         object.__setattr__(self, "nu", nu)

@@ -25,10 +25,6 @@ class InsufficientDepth(QsAffineError, ValueError):
     """A truncated digit string does not carry enough digits for the request."""
 
 
-class NonConvergence(QsAffineError, ArithmeticError):
-    """A fixed-point iteration hit its cap; signals a broken invariant upstream."""
-
-
 class HypothesisViolated(QsAffineError, ValueError):
     """The input falls outside the hypotheses of the formula being applied."""
 
@@ -42,4 +38,4 @@ class PreconditionViolated(QsAffineError, ValueError):
 
 
 class CertificationError(QsAffineError, ArithmeticError):
-    """An internal cross-check (closed form against the iterative oracle) failed."""
+    """An internal cross-check failed: a library fault, not bad input."""

@@ -9,8 +9,9 @@ points whose digits stay inside ``V(M) = {i : delta_i / (1 - g_i) = M}`` — a
 point, or a Cantor-type set whose Hausdorff dimension solves the Moran
 equation ``sum_{i in V} q_i^x = 1``.
 
-Every closed form is cross-checked here against the iterative bounds oracle;
-a disagreement raises ``CertificationError`` rather than returning silently.
+Every closed form is cross-checked here against the policy-iteration bounds
+solver of ``selfaffine``; a disagreement raises ``CertificationError``
+rather than returning silently.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
-from .selfaffine import SelfAffineSystem, evaluate
+from .selfaffine import EPS, SelfAffineSystem, evaluate
 
 #: Membership tolerance for "delta_i / (1 - g_i) equals y": parameters are
 #: user-supplied rationals stored in doubles, so exact equality is
@@ -175,7 +176,7 @@ def _require_regime(system: SelfAffineSystem) -> int:
 def closed_form_max(system: SelfAffineSystem) -> tuple[float, frozenset[int]]:
     """Maximum ``M = max_i delta_i / (1 - g_i)`` and its digit set V(M).
 
-    Cross-checked against the iterative oracle; also asserts that neither 0
+    Cross-checked against the bounds solver; also asserts that neither 0
     nor the negative digit k belongs to V(M) (their quotients are 0 and a
     value below delta_k respectively).
     """
@@ -195,7 +196,7 @@ def closed_form_max(system: SelfAffineSystem) -> tuple[float, frozenset[int]]:
 
 
 def closed_form_min(system: SelfAffineSystem) -> float:
-    """Minimum ``m = min(0, delta_k + g_k M)``; asserts |m| < M and checks the oracle."""
+    """Minimum ``m = min(0, delta_k + g_k M)``; asserts |m| < M and checks the bounds solver."""
     k = _require_regime(system)
     M, _ = closed_form_max(system)
     m = min(0.0, system.G.delta[k] + system.G.g[k] * M)
@@ -324,10 +325,19 @@ def membership(spec: CantorSpec, d: DigitString) -> bool:
 
 
 def preimage_residual_bound(system: SelfAffineSystem, depth: int) -> float:
-    """(M - m) * (max low-digit ratio)^depth: the guaranteed witness accuracy."""
+    """Guaranteed witness accuracy: truncation plus the rounding of the witness sum.
+
+    With ``g_* = max(g[:k])`` the witness truncates f within
+    ``(M - m) * g_*^depth``.  Its evaluated digit sum rounds by at most
+    ``8 * eps * max(1, max|delta|) / (1 - g_*)^2`` (the j-th term carries a
+    relative error of about ``j * eps``), so an exact witness passes even
+    where the truncation term falls below double rounding.
+    """
     k = _require_regime(system)
     g_star = max(system.G.g[:k])
-    return system.bounds.span * g_star**depth
+    scale = max(1.0, max(abs(d) for d in system.G.delta))
+    rounding = 8.0 * EPS * scale / (1.0 - g_star) ** 2
+    return system.bounds.span * g_star**depth + rounding
 
 
 def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitString:

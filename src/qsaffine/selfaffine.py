@@ -19,6 +19,7 @@ error bound ``(M - m) * prod |g_{a_j}|`` built from the global bounds below.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -26,11 +27,10 @@ from typing import NamedTuple
 from .codec import (
     DigitString, StochasticVector, check_alphabet, encode, periodic_tail_value, running_sums, walk,
 )
-from .errors import InvalidDigit, NonConvergence, ValidationError
+from .errors import CertificationError, InvalidDigit, ValidationError
 
-#: Fixed-point iteration for the global bounds stops at this step size.
-BOUNDS_STEP_TOL = 1e-14
-BOUNDS_MAX_ITER = 10_000
+#: Double-precision epsilon, the unit of the rounding allowances.
+EPS = sys.float_info.epsilon
 
 #: Default truncation accuracy target and hard digit cap for eval-at-a-point.
 DEPTH_TARGET = 1e-12
@@ -54,7 +54,11 @@ class AffineCoefficients:
 
 @dataclass(frozen=True)
 class BoundsPair:
-    """Certified global bounds ``m <= f <= M`` with convergence metadata."""
+    """Certified global bounds ``m <= f <= M``.
+
+    ``iterations`` counts the solver's policy steps and ``residual`` bounds
+    the distance of ``m`` and ``M`` from the exact fixed point of the hull.
+    """
 
     m: float
     M: float
@@ -66,8 +70,6 @@ class BoundsPair:
             raise ValidationError(
                 f"bounds must bracket the attained values f(0)=0, f(1)=1; got ({self.m}, {self.M})"
             )
-        if self.residual > 1e-12:
-            raise ValidationError(f"bounds residual {self.residual!r} above 1e-12")
 
     @property
     def span(self) -> float:
@@ -97,7 +99,7 @@ class SelfAffineSystem:
 
     @cached_property
     def bounds(self) -> BoundsPair:
-        return _fixed_point_bounds(self)[0]
+        return _fixed_point_bounds(self)
 
     @cached_property
     def default_depth(self) -> int:
@@ -113,39 +115,77 @@ class Evaluation(NamedTuple):
     error_bound: float
 
 
-def _fixed_point_bounds(system: SelfAffineSystem) -> tuple[BoundsPair, list[float]]:
-    """Expand (0, 1) to the global bounds of f by iterating the one-digit hull.
+def _policy_value(delta, g, a: int, b: int) -> tuple[float, float]:
+    """Fixed point of the hull with arg-max digit ``a`` and arg-min digit ``b``.
 
-    M' = max_i delta_i + g_i * (M if g_i > 0 else m) and dually for m': one
-    pass per cylinder rank.  Starting from the attained values (0, 1) the
-    iteration is monotone expanding and contracts with factor max|g| < 1, so
-    hitting the cap means a validated invariant was broken upstream.
+    Solves ``M = delta_a + g_a (M or m)``, ``m = delta_b + g_b (m or M)``,
+    the choice of M or m going by the sign of each ratio.
     """
-    g, delta = system.G.g, system.G.delta
+    da, ga, db, gb = delta[a], g[a], delta[b], g[b]
+    if ga > 0 and gb > 0:
+        return da / (1.0 - ga), db / (1.0 - gb)
+    if ga > 0:
+        M = da / (1.0 - ga)
+        return M, db + gb * M
+    if gb > 0:
+        m = db / (1.0 - gb)
+        return da + ga * m, m
+    M = (da + ga * db) / (1.0 - ga * gb)
+    return M, db + gb * M
+
+
+def _fixed_point_bounds(system: SelfAffineSystem) -> BoundsPair:
+    """Global bounds of f: the fixed point of the one-digit hull, by policy iteration.
+
+    ``M = max_i delta_i + g_i (M if g_i > 0 else m)`` and dually for m.  A
+    policy fixes the arg-max digit a and the arg-min digit b; its fixed point
+    is a closed-form 2x2 solve.  Starting from the greedy policy at the
+    attained pair ``(M, m) = (1, 0)``, each round re-picks a and b from the
+    hull at the current pair, switching a choice only when another digit
+    beats it by more than rounding (half the allowance below), until the
+    policy is stable.  Written for ``(M, -m)`` this is a discounted
+    decision problem with rate ``max|g| < 1`` (Howard 1960), so the values
+    rise strictly and no policy repeats: at most ``s**2`` steps.
+
+    With ``C = max(1, max|delta|, M - m)``, one hull step at the returned
+    pair moves it by ``step <= 8*eps*C`` and the exact fixed point lies
+    within ``(step + 8*eps*C) / (1 - max|g|)`` of it.  Either check failing
+    would take a broken invariant, so it raises ``CertificationError``.
+    """
+    g, delta, s = system.G.g, system.G.delta, system.s
     pairs = list(zip(delta, g))
-    m, M = 0.0, 1.0
-    steps: list[float] = []
-    for it in range(1, BOUNDS_MAX_ITER + 1):
-        M1 = max(d + (gi * M if gi > 0 else gi * m) for d, gi in pairs)
-        m1 = min(d + (gi * m if gi > 0 else gi * M) for d, gi in pairs)
-        step = max(abs(M1 - M), abs(m1 - m))
-        steps.append(step)
-        m, M = m1, M1
-        if step < BOUNDS_STEP_TOL:
-            return BoundsPair(m=m, M=M, iterations=it, residual=step), steps
-    raise NonConvergence(
-        f"global bounds did not converge within {BOUNDS_MAX_ITER} iterations"
-    )
+    scale = max(1.0, max(abs(d) for d in delta))
+    M, m = 1.0, 0.0
+    a = b = -1
+    steps = 0
+    while True:
+        up = [d + (gi * M if gi > 0 else gi * m) for d, gi in pairs]
+        lo = [d + (gi * m if gi > 0 else gi * M) for d, gi in pairs]
+        allowance = 8.0 * EPS * max(scale, M - m)
+        hi_i = max(range(s), key=up.__getitem__)
+        lo_i = min(range(s), key=lo.__getitem__)
+        new_a = a if a >= 0 and up[hi_i] <= up[a] + allowance / 2 else hi_i
+        new_b = b if b >= 0 and lo[lo_i] >= lo[b] - allowance / 2 else lo_i
+        if (new_a, new_b) == (a, b):
+            break
+        steps += 1
+        if steps > s * s:
+            raise CertificationError(f"bounds policy iteration exceeded {s * s} steps")
+        a, b = new_a, new_b
+        M, m = _policy_value(delta, g, a, b)
+        M, m = max(M, 1.0), min(m, 0.0)  # f(1) = 1 and f(0) = 0 are attained
+    step = max(abs(up[hi_i] - M), abs(lo[lo_i] - m))
+    if step > allowance:
+        raise CertificationError(
+            f"bounds ({m!r}, {M!r}) move by {step!r} under one hull step, above {allowance!r}"
+        )
+    gmax = max(abs(v) for v in g)
+    return BoundsPair(m=m, M=M, iterations=steps, residual=(step + allowance) / (1.0 - gmax))
 
 
 def global_bounds(system: SelfAffineSystem) -> BoundsPair:
     """Certified global minimum and maximum of f (cached per system)."""
     return system.bounds
-
-
-def bounds_iteration_steps(system: SelfAffineSystem) -> list[float]:
-    """Step sizes of the bounds iteration, for contraction-rate checks."""
-    return _fixed_point_bounds(system)[1]
 
 
 def evaluate(system: SelfAffineSystem, d: DigitString) -> Evaluation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from qsaffine import DigitString, SelfAffineSystem
@@ -103,3 +105,60 @@ def random_binary_point(rng: np.random.Generator, s: int, max_len: int = 12) -> 
     digits = [int(d) for d in rng.integers(0, s, size=n)]
     digits[-1] = int(rng.integers(1, s))
     return DigitString(tuple(digits), (0,), s)
+
+
+def value_iteration_bounds(system: SelfAffineSystem, tol: float = 1e-14) -> tuple[float, float]:
+    """Reference ``(m, M)`` by iterating the one-digit hull from the attained ``(0, 1)``.
+
+    The method the library used before its policy-iteration solver, kept as
+    an independent oracle.  It contracts at rate ``max|g|``, so only systems
+    with ratios well inside (-1, 1) converge within the cap.
+    """
+    pairs = list(zip(system.G.delta, system.G.g))
+    m, M = 0.0, 1.0
+    for _ in range(100_000):
+        M1 = max(d + (gi * M if gi > 0 else gi * m) for d, gi in pairs)
+        m1 = min(d + (gi * m if gi > 0 else gi * M) for d, gi in pairs)
+        step = max(abs(M1 - M), abs(m1 - m))
+        m, M = m1, M1
+        if step < tol:
+            return m, M
+    raise AssertionError("value iteration did not converge")
+
+
+def exact_hull_bounds(system: SelfAffineSystem) -> tuple[Fraction, Fraction]:
+    """Exact ``(m, M)``: the fixed point of the hull over the stored float ``g`` and ``delta``.
+
+    Policy iteration in rationals, each policy solved as a 2x2 system; the
+    pair returned satisfies ``hull(M, m) == (M, m)`` exactly.
+    """
+    g = [Fraction(v) for v in system.G.g]
+    delta = [Fraction(v) for v in system.G.delta]
+    zero = Fraction(0)
+
+    def hull(M, m):
+        up = [d + (gi * M if gi > 0 else gi * m) for d, gi in zip(delta, g)]
+        lo = [d + (gi * m if gi > 0 else gi * M) for d, gi in zip(delta, g)]
+        return up, lo
+
+    def solve(a, b):
+        # (1 - pa) M - na m = delta_a,  -nb M + (1 - pb) m = delta_b
+        pa, na = (g[a], zero) if g[a] > 0 else (zero, g[a])
+        pb, nb = (g[b], zero) if g[b] > 0 else (zero, g[b])
+        det = (1 - pa) * (1 - pb) - na * nb
+        M = (delta[a] * (1 - pb) + na * delta[b]) / det
+        m = (delta[b] * (1 - pa) + nb * delta[a]) / det
+        return M, m
+
+    up, lo = hull(Fraction(1), zero)
+    a, b = up.index(max(up)), lo.index(min(lo))
+    for _ in range(system.s**2):
+        M, m = solve(a, b)
+        up, lo = hull(M, m)
+        if (max(up), min(lo)) == (M, m):
+            return m, M
+        if max(up) > M:
+            a = up.index(max(up))
+        if min(lo) < m:
+            b = lo.index(min(lo))
+    raise AssertionError("exact policy iteration did not settle")

@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsaffine.cli import build_analysis, main
+import qsaffine
+from qsaffine import extrema
+from qsaffine.cli import EXIT_INTERNAL, build_analysis, main
 from qsaffine.config import SystemConfig, load_config
+from qsaffine.errors import CertificationError
 from qsaffine.extrema import LEVEL_TOL, level_set
 from helpers import random_admissible_system
 
@@ -76,12 +82,8 @@ class TestAnalyze:
         for config in configs:
             system = config.system()
             g, delta = system.G.g, system.G.delta
-            # The rows do not depend on the preimage depth.  At the default 64,
-            # draw 4 is one of the regime systems whose guaranteed preimage
-            # residual falls below double rounding, which the non-invariance
-            # certificate rejects (an open defect of its own).
             for tol in (LEVEL_TOL, 0.0, 0.05):
-                report = build_analysis(config, tol, 16)
+                report = build_analysis(config, tol, None)
                 # Reference grouping: sorted quotients, each group holding the
                 # quotients within tol of its first.
                 expected: list[tuple[float, list[int]]] = []
@@ -102,6 +104,19 @@ class TestAnalyze:
                     placed |= desc.V
                 every = sorted(d for row in rows for d in row["digits"])
                 assert every == list(range(system.s)), config.label
+
+    def test_tight_preimage_bound_system(self):
+        # Low-digit ratios so small that (M - m) * max(g[:k])**64 is about 5e-21,
+        # far below the rounding of the witness sums the certificate checks.
+        config = SystemConfig(
+            ("88/1000", "561/1000", "66/1000", "285/1000"),
+            ("204/1000", "480/1000", "416/1000", "-100/1000"),
+            "tight",
+        )
+        report = build_analysis(config, LEVEL_TOL, 64)
+        ni = report["non_invariance"]
+        assert ni["depth"] == 64 and ni["samples"] > 0
+        assert ni["max_residual"] <= ni["residual_bound"]
 
     def test_text_and_json_are_byte_stable(self, capsys):
         for fmt in ("text", "json"):
@@ -146,13 +161,27 @@ class TestExitCodes:
             (["eval", "--digits", "(a)"], "ValidationError"),
             (["holder", "--digits", "(1)", "--ranks", "a:b"], "ValidationError"),
             (["holder", "--nu", "x,y,z"], "ValidationError"),
+            (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError"),
         ],
-        ids=["digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "nu-not-numbers"],
+        ids=[
+            "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "nu-not-numbers",
+            "nu-nan",
+        ],
     )
     def test_bad_digit_string_is_2(self, capsys, argv, error):
         rc, _, err = run(capsys, *argv, "--config", cfg("cantor_max"))
         assert rc == 2
         assert json.loads(err)["error"] == error
+
+    def test_internal_failure_is_5(self, capsys, monkeypatch):
+        def broken(system):
+            raise CertificationError("closed form disagrees with the bounds solver")
+
+        monkeypatch.setattr(extrema, "closed_form_max", broken)
+        rc, out, err = run(capsys, "analyze", "--config", cfg("cantor_max"))
+        assert rc == EXIT_INTERNAL == 5
+        assert out == ""
+        assert json.loads(err)["error"] == "CertificationError"
 
     def test_unsupported_format_is_2(self, capsys):
         rc, _, err = run(capsys, "analyze", "--config", cfg("identity"), "--format", "csv")
@@ -162,6 +191,19 @@ class TestExitCodes:
     def test_too_few_points_is_2(self, capsys):
         rc, _, err = run(capsys, "sample", "--config", cfg("identity"), "--points", "1")
         assert rc == 2
+
+
+class TestModuleEntry:
+    def test_python_m_matches_main(self, capsys):
+        argv = ["eval", "--config", cfg("cantor_max"), "--x", "0.3"]
+        rc, out, _ = run(capsys, *argv)
+        env = dict(os.environ, PYTHONPATH=str(Path(qsaffine.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsaffine.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (rc, out)
+        assert rc == 0 and out.startswith("value ")
 
 
 class TestRoundTrips:

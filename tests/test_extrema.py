@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -293,7 +294,9 @@ class TestPreimage:
 
     def test_residual_bound(self):
         bound = preimage_residual_bound(CANTOR_MAX, 64)
-        assert bound <= 2.0 * 0.8**64 + 1e-20
+        # (M - m) g_*^64 plus the rounding allowance 8 eps max(1, max|delta|) / (1 - g_*)^2
+        rounding = 8.0 * sys.float_info.epsilon * 1.6 / (1.0 - 0.8) ** 2
+        assert bound == pytest.approx(2.0 * 0.8**64 + rounding, rel=1e-12)
         d = preimage_digits(CANTOR_MAX, math.pi / 4, 64)
         residual = abs(evaluate(CANTOR_MAX, d).value - math.pi / 4)
         assert residual <= 3.0 * 0.8**64

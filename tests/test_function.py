@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +9,8 @@ from qsaffine import (
     AffineCoefficients,
     DigitString,
     InvalidDigit,
-    NonConvergence,
     SelfAffineSystem,
     ValidationError,
-    bounds_iteration_steps,
     evaluate,
     evaluate_at,
     functional_equation_residual,
@@ -24,7 +23,9 @@ from helpers import (
     DEEP_MIN_S3,
     IDENTITY_S3,
     LEVEL_SETS,
+    ROUGH_S3,
     SINGULAR_S3,
+    exact_hull_bounds,
     random_admissible_system,
     random_binary_point,
     random_exact_string,
@@ -205,24 +206,35 @@ class TestGlobalBounds:
     def test_invariants(self):
         for system in ALL_SYSTEMS:
             b = system.bounds
-            assert b.m <= 1e-12 and b.M >= 1.0 - 1e-12
+            assert b.m <= 0.0 and b.M >= 1.0
             assert b.residual <= 1e-12
             assert b.iterations >= 1
 
-    def test_contraction_rate(self):
-        for system in (CANTOR_MAX, DEEP_MIN_S3, SINGULAR_S3):
-            steps = bounds_iteration_steps(system)
-            gmax = max(abs(v) for v in system.G.g)
-            for prev, cur in zip(steps, steps[1:]):
-                assert cur <= gmax * prev + 1e-15
+    @staticmethod
+    def solver_cases():
+        """Bundled and random systems, and near-critical ones of every sign pattern."""
+        rng = np.random.default_rng(3)
+        cases = [CANTOR_MAX, LEVEL_SETS, SINGULAR_S3, ROUGH_S3, DEEP_MIN_S3, IDENTITY_S3]
+        cases += [random_admissible_system(rng) for _ in range(40)]
+        for r in (0.99, 0.999, 1.0 - 1e-6):
+            cases += [
+                SelfAffineSystem.from_values((0.4, 0.4, 0.2), (0.6, r, 0.4 - r)),
+                SelfAffineSystem.from_values((0.4, 0.4, 0.2), (r, r, 1.0 - 2.0 * r)),
+                SelfAffineSystem.from_values((0.25,) * 4, (-r, 0.5, r, 0.5)),
+                SelfAffineSystem.from_values((0.2, 0.3, 0.3, 0.2), (0.6, 0.7, -r, r - 0.3)),
+            ]
+        return cases
 
-    def test_nonconvergence_signalled(self):
-        # contraction factor 0.999 with bounds near 10^3: needs ~4e4 passes
-        slow = SelfAffineSystem.from_values(
-            (0.4, 0.4, 0.2), (0.999, 0.999, -0.998)
-        )
-        with pytest.raises(NonConvergence):
-            global_bounds(slow)
+    def test_exact_fixed_point_within_residual(self):
+        for system in self.solver_cases():
+            b = global_bounds(system)
+            m, M = exact_hull_bounds(system)
+            assert abs(Fraction(b.M) - M) <= Fraction(b.residual), system.G.g
+            assert abs(Fraction(b.m) - m) <= Fraction(b.residual), system.G.g
+
+    def test_policy_steps_at_most_s_squared(self):
+        for system in self.solver_cases():
+            assert 1 <= global_bounds(system).iterations <= system.s**2, system.G.g
 
 
 class TestSample:
