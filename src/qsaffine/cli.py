@@ -2,12 +2,13 @@
 
 Subcommands: analyze | sample | cantor | encode | decode | eval | holder |
 level | preimage | variation.  Every command takes ``--config FILE`` (see
-``config.py`` for the grammar) plus ``--format``, ``--depth``, ``--tolerance``
-and ``--out``.  Outputs are deterministic: floats are printed with 17
-significant digits, JSON keys are sorted, and no timestamps or machine data
-are ever emitted.  Exit codes: 0 success, 2 validation failure, 3 closed-form
-regime not met, 4 I/O failure, 5 internal failure (a failed cross-check of
-the library itself, not bad input).
+``config.py`` for the grammar), ``--format`` and ``--out``; ``--depth`` and
+``--tolerance`` only where the command reads them (``qsaffine <command>
+--help`` lists its flags and formats).  Outputs are deterministic: floats are
+printed with 17 significant digits, JSON keys are sorted, and no timestamps
+or machine data are ever emitted.  Exit codes: 0 success, 2 validation
+failure, 3 closed-form regime not met, 4 I/O failure, 5 internal failure (a
+failed cross-check of the library itself, not bad input).
 """
 
 from __future__ import annotations
@@ -29,49 +30,79 @@ EXIT_INTERNAL = 5
 
 ANALYZE_SAMPLES = 16
 ANALYZE_SEED = 0
+#: Tolerance reported with the analytic exponents and the maximum-set dimension.
+ANALYZE_TOL = 1e-12
+
+TEXT = ("text", "json")
+PLOT = ("csv", "svg")
 
 
 def _f(v: float) -> str:
     return format(v, ".17g")
 
 
+def _text(v) -> str:
+    """One value of text output: lower-case bools, lists as ``{a,b}``, numbers via ``_f``."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, list):
+        return "{" + ",".join(str(d) for d in v) + "}"
+    return v if isinstance(v, str) else _f(v)
+
+
+def _render(payload: dict, fmt: str, *keys: str) -> str:
+    """``payload`` as sorted JSON, or one ``key value`` line per named key."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(f"{k} {_text(payload[k])}\n" for k in keys)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="system definition file")
-    common.add_argument(
-        "--format", choices=("json", "text", "csv", "svg"), default=None
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", required=True, help="system definition file")
+    base.add_argument("--format", choices=("json", "text", "csv", "svg"), default=None)
+    base.add_argument("--out", default=None, help="output path (default stdout)")
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=int, default=None, help="digit depth")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument(
+        "--tolerance", type=float, default=extrema.LEVEL_TOL, help="level membership tolerance"
     )
-    common.add_argument("--depth", type=int, default=None, help="digit depth")
-    common.add_argument(
-        "--tolerance", type=float, default=extrema.LEVEL_TOL,
-        help="level membership tolerance",
-    )
-    common.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = argparse.ArgumentParser(prog="qsaffine", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("analyze", parents=[common], help="full report for one system")
+    def command(name, run, formats, summary, *needs):
+        # One declaration per command: its handler, its formats (default
+        # first) and the shared flags it reads.
+        sp = sub.add_parser(
+            name, parents=[base, *needs], help=summary,
+            description=f"{summary}; formats {', '.join(formats)} (default {formats[0]})",
+        )
+        sp.set_defaults(run=run, formats=formats)
+        return sp
 
-    sp = sub.add_parser("sample", parents=[common], help="graph samples of f")
+    command("analyze", _cmd_analyze, TEXT, "full report for one system", depth, tolerance)
+
+    sp = command("sample", _cmd_sample, PLOT, "graph samples of f", depth)
     sp.add_argument("--points", type=int, required=True)
 
-    cp = sub.add_parser("cantor", parents=[common], help="maximum-set construction stages")
+    cp = command("cantor", _cmd_cantor, PLOT, "maximum-set construction stages")
     cp.add_argument("--steps", type=int, required=True)
     cp.add_argument("--merged", action="store_true", help="join touching intervals")
 
-    ep = sub.add_parser("encode", parents=[common], help="digits of a point")
+    ep = command("encode", _cmd_encode, TEXT, "digits of a point", depth)
     ep.add_argument("--x", type=float, required=True)
 
-    dp = sub.add_parser("decode", parents=[common], help="point of a digit string")
+    dp = command("decode", _cmd_decode, TEXT, "point of a digit string")
     dp.add_argument("--digits", required=True, help='e.g. "1,3,(0,2)"')
 
-    vp = sub.add_parser("eval", parents=[common], help="evaluate f")
+    vp = command("eval", _cmd_eval, TEXT, "evaluate f (--depth applies to --x only)", depth)
     group = vp.add_mutually_exclusive_group(required=True)
     group.add_argument("--digits", help='e.g. "(2)"')
     group.add_argument("--x", type=float)
 
-    hp = sub.add_parser("holder", parents=[common], help="regularity exponents")
+    hp = command("holder", _cmd_holder, TEXT, "regularity exponents")
     kind = hp.add_mutually_exclusive_group()
     kind.add_argument("--binary", action="store_true", help="exponent at twin points")
     kind.add_argument("--ae", action="store_true", help="exponent at typical points")
@@ -79,32 +110,15 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--digits", help="empirical estimate along this string")
     hp.add_argument("--ranks", default="1:64", help="A:B rank range for --digits")
 
-    lp = sub.add_parser("level", parents=[common], help="level-set digits of y")
+    lp = command("level", _cmd_level, TEXT, "level-set digits of y", tolerance)
     lp.add_argument("--y", type=float, required=True)
 
-    pp = sub.add_parser("preimage", parents=[common], help="preimage digits of y")
+    pp = command("preimage", _cmd_preimage, TEXT, "preimage digits of y", depth)
     pp.add_argument("--y", type=float, required=True)
 
-    wp = sub.add_parser("variation", parents=[common], help="rank-n variation lower bound")
+    wp = command("variation", _cmd_variation, TEXT, "rank-n variation lower bound")
     wp.add_argument("--rank", type=int, required=True)
     return p
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _pick_format(args, allowed: tuple[str, ...]) -> str:
-    fmt = args.format or allowed[0]
-    if fmt not in allowed:
-        raise ValidationError(
-            f"format {fmt!r} not supported here; choose one of {allowed}"
-        )
-    return fmt
 
 
 def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) -> dict:
@@ -142,15 +156,12 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
         )
 
     exponents = {
-        "global": {"value": holder.global_exponent(system).exponent, "tolerance": 1e-12},
-        "almost_everywhere": {
-            "value": holder.almost_everywhere_exponent(system).exponent,
-            "tolerance": 1e-12,
-        },
-        "binary": {
-            "value": holder.local_exponent_binary(system).exponent,
-            "tolerance": 1e-12,
-        },
+        key: {"value": exponent(system).exponent, "tolerance": ANALYZE_TOL}
+        for key, exponent in (
+            ("global", holder.global_exponent),
+            ("almost_everywhere", holder.almost_everywhere_exponent),
+            ("binary", holder.local_exponent_binary),
+        )
     }
 
     maxima = None
@@ -161,9 +172,9 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
             "digits": sorted(spec.allowed),
             "dimension": spec.dimension,
             "singleton": spec.singleton,
-            "tolerance": 1e-12,
+            "tolerance": ANALYZE_TOL,
         }
-        pre_depth = depth if depth is not None else 64
+        pre_depth = extrema.PREIMAGE_DEPTH if depth is None else depth
         report = extrema.non_invariance_certificate(
             system, samples=ANALYZE_SAMPLES, depth=pre_depth, seed=ANALYZE_SEED
         )
@@ -207,9 +218,9 @@ def _analysis_text(report: dict) -> str:
     lines.append("  g = " + ", ".join(sysinfo["g"]))
     pred = report["predicates"]
     lines.append("predicates")
-    lines.append(f"  monotone                {str(pred['monotone']).lower()}")
-    lines.append(f"  singular                {str(pred['singular']).lower()}")
-    lines.append(f"  nowhere-differentiable  {str(pred['nowhere_differentiable']).lower()}")
+    lines.append(f"  monotone                {_text(pred['monotone'])}")
+    lines.append(f"  singular                {_text(pred['singular'])}")
+    lines.append(f"  nowhere-differentiable  {_text(pred['nowhere_differentiable'])}")
     regime = pred["closed_form_regime"]
     lines.append(
         "  closed-form regime      "
@@ -220,29 +231,26 @@ def _analysis_text(report: dict) -> str:
     lines.append(f"  m = {_f(b['m'])}")
     lines.append(f"  M = {_f(b['M'])}")
     e = report["exponents"]
-    lines.append("exponents (tol 1e-12)")
+    lines.append(f"exponents (tol {ANALYZE_TOL:.3g})")
     lines.append(f"  global             {_f(e['global']['value'])}")
     lines.append(f"  almost-everywhere  {_f(e['almost_everywhere']['value'])}")
     lines.append(f"  twin-points        {_f(e['binary']['value'])}")
     lines.append(f"levels (fixed-point values, tol {report['levels'][0]['tolerance']:.3g})")
     for row in report["levels"]:
-        digits = ",".join(str(d) for d in row["digits"])
         cont = "continuum" if row["continuum"] else "thin"
-        lines.append(f"  y = {_f(row['y'])}  digits {{{digits}}}  {cont}")
+        lines.append(f"  y = {_f(row['y'])}  digits {_text(row['digits'])}  {cont}")
     if report["maxima_set"] is not None:
         mx = report["maxima_set"]
-        digits = ",".join(str(d) for d in mx["digits"])
-        lines.append("maximum set (tol 1e-12)")
+        lines.append(f"maximum set (tol {ANALYZE_TOL:.3g})")
         lines.append(
-            f"  digits {{{digits}}}  dimension {_f(mx['dimension'])}"
+            f"  digits {_text(mx['digits'])}  dimension {_f(mx['dimension'])}"
             + ("  (single point)" if mx["singleton"] else "")
         )
     if report["non_invariance"] is not None:
         ni = report["non_invariance"]
-        digits = ",".join(str(d) for d in ni["restricted_digits"])
         lines.append("non-invariance certificate")
         lines.append(
-            f"  digits {{{digits}}}  dimension {_f(ni['dimension'])}"
+            f"  digits {_text(ni['restricted_digits'])}  dimension {_f(ni['dimension'])}"
         )
         lines.append(
             f"  {ni['samples']} preimages at depth {ni['depth']}: "
@@ -251,92 +259,72 @@ def _analysis_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_analyze(args) -> None:
-    fmt = _pick_format(args, ("text", "json"))
-    report = build_analysis(load_config(args.config), args.tolerance, args.depth)
-    if fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(_analysis_text(report), args.out)
+# Command handlers: each takes (args, config, fmt) and returns the text to write.
 
 
-def _cmd_sample(args) -> None:
-    fmt = _pick_format(args, ("csv", "svg"))
-    config = load_config(args.config)
+def _cmd_analyze(args, config: SystemConfig, fmt: str) -> str:
+    report = build_analysis(config, args.tolerance, args.depth)
+    return _analysis_text(report) if fmt == "text" else _render(report, fmt)
+
+
+def _cmd_sample(args, config: SystemConfig, fmt: str) -> str:
     system = config.system()
     rows = selfaffine.sample(system, args.points, depth=args.depth)
-    if fmt == "csv":
-        lines = ["x,f,error_bound"]
-        lines += [f"{_f(x)},{_f(v)},{_f(e)}" for x, v, e in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
+    if fmt == "svg":
         b = system.bounds
         label = f"{config.label}: graph of f ({args.points} target points)"
-        _emit(svgplot.curve_svg(rows, (0.0, b.m, 1.0, b.M), label), args.out)
+        return svgplot.curve_svg(rows, (0.0, b.m, 1.0, b.M), label)
+    lines = ["x,f,error_bound"] + [f"{_f(x)},{_f(v)},{_f(e)}" for x, v, e in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_cantor(args) -> None:
-    fmt = _pick_format(args, ("csv", "svg"))
+def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:
     if args.steps > 24:
         raise ValidationError("at most 24 construction steps supported")
-    config = load_config(args.config)
-    system = config.system()
-    spec = extrema.maxima_set(system)
+    spec = extrema.maxima_set(config.system())
     stages = extrema.cantor_construction(spec, args.steps, merged=args.merged)
-    if fmt == "csv":
-        lines = ["stage,index,left,right"]
-        for t, intervals in enumerate(stages, start=1):
-            for idx, (lo, hi) in enumerate(intervals):
-                lines.append(f"{t},{idx},{_f(lo)},{_f(hi)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        digits = ",".join(str(d) for d in sorted(spec.allowed))
-        label = f"{config.label}: maximum-set construction, digits {{{digits}}}"
-        _emit(svgplot.bands_svg(stages, label), args.out)
+    if fmt == "svg":
+        label = f"{config.label}: maximum-set construction, digits {_text(sorted(spec.allowed))}"
+        return svgplot.bands_svg(stages, label)
+    lines = ["stage,index,left,right"]
+    for t, intervals in enumerate(stages, start=1):
+        for idx, (lo, hi) in enumerate(intervals):
+            lines.append(f"{t},{idx},{_f(lo)},{_f(hi)}")
+    return "\n".join(lines) + "\n"
 
 
-def _text_or_json(args, payload: dict, text: str) -> None:
-    fmt = _pick_format(args, ("text", "json"))
-    if fmt == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(text, args.out)
+def _point_error(d: DigitString, Q) -> float:
+    """Error bound of the point of ``d``: 0 if periodic, its cylinder's width if truncated."""
+    return 0.0 if d.period is not None else cylinder_bounds(Cylinder(d.prefix), Q)[2]
 
 
-def _cmd_encode(args) -> None:
-    config = load_config(args.config)
+def _cmd_encode(args, config: SystemConfig, fmt: str) -> str:
     system = config.system()
-    depth = args.depth if args.depth is not None else system.default_depth
-    d = encode(args.x, system.Q, depth)
-    bound = 0.0 if d.period is not None else cylinder_bounds(Cylinder(d.prefix), system.Q)[2]
+    d = encode(args.x, system.Q, args.depth if args.depth is not None else system.default_depth)
+    bound = _point_error(d, system.Q)
     payload = {"digits": d.to_text(), "exact": d.period is not None, "error_bound": bound}
-    _text_or_json(args, payload, f"digits {d.to_text()}\nerror_bound {_f(bound)}\n")
+    return _render(payload, fmt, "digits", "error_bound")
 
 
-def _cmd_decode(args) -> None:
-    config = load_config(args.config)
+def _cmd_decode(args, config: SystemConfig, fmt: str) -> str:
     system = config.system()
     d = DigitString.from_text(args.digits, system.s)
-    x = decode(d, system.Q)
-    bound = 0.0 if d.period is not None else cylinder_bounds(Cylinder(d.prefix), system.Q)[2]
-    payload = {"x": x, "error_bound": bound}
-    _text_or_json(args, payload, f"x {_f(x)}\nerror_bound {_f(bound)}\n")
+    payload = {"x": decode(d, system.Q), "error_bound": _point_error(d, system.Q)}
+    return _render(payload, fmt, "x", "error_bound")
 
 
-def _cmd_eval(args) -> None:
-    config = load_config(args.config)
+def _cmd_eval(args, config: SystemConfig, fmt: str) -> str:
+    if args.digits is not None and args.depth is not None:
+        raise ValidationError("--depth applies to --x only; a digit string sets its own depth")
     system = config.system()
     if args.digits is not None:
-        d = DigitString.from_text(args.digits, system.s)
-        value, bound = selfaffine.evaluate(system, d)
+        value, bound = selfaffine.evaluate(system, DigitString.from_text(args.digits, system.s))
     else:
         value, bound = selfaffine.evaluate_at(system, args.x, depth=args.depth)
-    payload = {"value": value, "error_bound": bound}
-    _text_or_json(args, payload, f"value {_f(value)}\nerror_bound {_f(bound)}\n")
+    return _render({"value": value, "error_bound": bound}, fmt, "value", "error_bound")
 
 
-def _cmd_holder(args) -> None:
-    config = load_config(args.config)
+def _cmd_holder(args, config: SystemConfig, fmt: str) -> str:
     system = config.system()
     if args.binary:
         report = holder.local_exponent_binary(system)
@@ -359,13 +347,10 @@ def _cmd_holder(args) -> None:
     else:
         report = holder.global_exponent(system)
     payload = {"exponent": report.exponent, "kind": report.kind, "note": report.note}
-    _text_or_json(
-        args, payload, f"exponent {_f(report.exponent)}\nkind {report.kind}\n"
-    )
+    return _render(payload, fmt, "exponent", "kind")
 
 
-def _cmd_level(args) -> None:
-    config = load_config(args.config)
+def _cmd_level(args, config: SystemConfig, fmt: str) -> str:
     desc = extrema.level_set(config.system(), args.y, tol=args.tolerance)
     payload = {
         "y": desc.y,
@@ -373,59 +358,40 @@ def _cmd_level(args) -> None:
         "continuum": desc.continuum,
         "tolerance": args.tolerance,
     }
-    digits = ",".join(str(d) for d in sorted(desc.V))
-    _text_or_json(
-        args,
-        payload,
-        f"y {_f(desc.y)}\ndigits {{{digits}}}\ncontinuum {str(desc.continuum).lower()}\n",
-    )
+    return _render(payload, fmt, "y", "digits", "continuum")
 
 
-def _cmd_preimage(args) -> None:
-    config = load_config(args.config)
+def _cmd_preimage(args, config: SystemConfig, fmt: str) -> str:
     system = config.system()
-    depth = args.depth if args.depth is not None else 64
+    depth = extrema.PREIMAGE_DEPTH if args.depth is None else args.depth
     d = extrema.preimage_digits(system, args.y, depth)
-    bound = extrema.preimage_residual_bound(system, depth)
-    residual = abs(selfaffine.evaluate(system, d).value - args.y)
     payload = {
         "digits": d.to_text(),
-        "residual": residual,
-        "residual_bound": bound,
+        "residual_bound": extrema.preimage_residual_bound(system, depth),
+        "residual": abs(selfaffine.evaluate(system, d).value - args.y),
     }
-    _text_or_json(
-        args,
-        payload,
-        f"digits {d.to_text()}\nresidual {_f(residual)}\nresidual_bound {_f(bound)}\n",
-    )
+    return _render(payload, fmt, "digits", "residual", "residual_bound")
 
 
-def _cmd_variation(args) -> None:
-    config = load_config(args.config)
+def _cmd_variation(args, config: SystemConfig, fmt: str) -> str:
     value = selfaffine.variation_lower_bound(config.system(), args.rank)
-    payload = {"rank": args.rank, "value": value}
-    _text_or_json(args, payload, f"value {_f(value)}\n")
-
-
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "sample": _cmd_sample,
-    "cantor": _cmd_cantor,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "eval": _cmd_eval,
-    "holder": _cmd_holder,
-    "level": _cmd_level,
-    "preimage": _cmd_preimage,
-    "variation": _cmd_variation,
-}
+    return _render({"rank": args.rank, "value": value}, fmt, "value")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _DISPATCH[args.command](args)
+        fmt = args.format or args.formats[0]
+        if fmt not in args.formats:
+            raise ValidationError(
+                f"format {fmt!r} not supported here; choose one of {args.formats}"
+            )
+        text = args.run(args, load_config(args.config), fmt)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except ConditionsNotMet as exc:
         _diagnostic(exc)
         return EXIT_CONDITIONS

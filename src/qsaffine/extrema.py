@@ -36,6 +36,8 @@ LEVEL_TOL = 1e-10
 
 ORACLE_TOL = 1e-10
 MORAN_XTOL = 1e-14
+#: Default digit depth of preimage witnesses (``qsaffine preimage``, ``analyze``).
+PREIMAGE_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,8 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
     """
     if not tol >= 0.0:
         raise ValidationError(f"level tolerance must be non-negative; got {tol!r}")
+    if not math.isfinite(y):
+        raise ValidationError(f"level value must be finite; got {y!r}")
     g, delta = system.G.g, system.G.delta
     V = frozenset(
         i for i in range(system.s) if abs(delta[i] / (1.0 - g[i]) - y) <= tol
@@ -357,7 +361,7 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
 
 
 def non_invariance_certificate(
-    system: SelfAffineSystem, samples: int, depth: int = 64, seed: int = 0
+    system: SelfAffineSystem, samples: int, depth: int = PREIMAGE_DEPTH, seed: int = 0
 ) -> NonInvarianceReport:
     """Certify that a dimension-<1 digit set maps onto a set containing [0, 1].
 

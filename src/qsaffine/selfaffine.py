@@ -285,6 +285,8 @@ def sample(
     """
     if points < 2:
         raise ValidationError("at least 2 sample points required")
+    if depth is not None and depth < 1:
+        raise ValidationError("depth must be at least 1")
     cap = depth if depth is not None else DEPTH_CAP
     thresh = 1.0 / (points - 1)
     q, beta = system.Q.q, system.Q.beta

@@ -162,10 +162,14 @@ class TestExitCodes:
             (["holder", "--digits", "(1)", "--ranks", "a:b"], "ValidationError"),
             (["holder", "--nu", "x,y,z"], "ValidationError"),
             (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError"),
+            (["level", "--y", "nan"], "ValidationError"),
+            (["level", "--y", "inf"], "ValidationError"),
+            (["sample", "--points", "5", "--depth", "0", "--format", "csv"], "ValidationError"),
+            (["sample", "--points", "5", "--depth", "-3", "--format", "csv"], "ValidationError"),
         ],
         ids=[
             "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "nu-not-numbers",
-            "nu-nan",
+            "nu-nan", "level-y-nan", "level-y-inf", "sample-depth-0", "sample-depth-negative",
         ],
     )
     def test_bad_digit_string_is_2(self, capsys, argv, error):
@@ -191,6 +195,78 @@ class TestExitCodes:
     def test_too_few_points_is_2(self, capsys):
         rc, _, err = run(capsys, "sample", "--config", cfg("identity"), "--points", "1")
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("q: [1/2, 1/2]\nq: [1/2, 1/2]\ng: [1/2, 1/2]\n", "duplicate key"),
+            ("q: [1/2, 1/2]\ng: [1/2, 1/2]\nh: [1]\n", "unknown config keys"),
+            ("q: [1/2, 1/2]\ng [1/2, 1/2]\n", "expected 'key: value'"),
+            ("q: 1/2, 1/2\ng: [1/2, 1/2]\n", "bracketed array"),
+            ("q: []\ng: [1/2, 1/2]\n", "must not be empty"),
+            ("q: [1/2, half]\ng: [1/2, 1/2]\n", "cannot parse number 'half'"),
+            ("label: no-g\nq: [1/2, 1/2]\n", "both q and g"),
+            ("q: [1/3, 1/3, 1/3]\ng: [1/2, 1/2]\n", "equal length"),
+        ],
+        ids=[
+            "duplicate-key", "unknown-key", "line-without-colon", "unbracketed-array",
+            "empty-array", "unparsable-token", "missing-g", "length-mismatch",
+        ],
+    )
+    def test_config_grammar_error_is_2(self, capsys, tmp_path, text, message):
+        rc, out, err = run(capsys, "level", "--config", write_config(tmp_path, text), "--y", "0.5")
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert message in diag["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--points", "5", "--tolerance", "1e-3"],
+            ["cantor", "--steps", "3", "--tolerance", "1e-3"],
+            ["encode", "--x", "0.3", "--tolerance", "1e-3"],
+            ["decode", "--digits", "(1)", "--tolerance", "1e-3"],
+            ["eval", "--x", "0.3", "--tolerance", "1e-3"],
+            ["holder", "--tolerance", "7"],
+            ["preimage", "--y", "0.5", "--tolerance", "1e-3"],
+            ["variation", "--rank", "3", "--tolerance", "1e-3"],
+            ["cantor", "--steps", "3", "--depth", "5"],
+            ["decode", "--digits", "(1)", "--depth", "5"],
+            ["holder", "--depth", "5"],
+            ["level", "--y", "0.5", "--depth", "5"],
+            ["variation", "--rank", "3", "--depth", "5"],
+            ["eval", "--digits", "(1)", "--depth", "5"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_unread_flag_is_2(self, capsys, argv):
+        # Each command accepts only the flags it reads; --depth of eval applies to --x.
+        try:
+            rc = main([*argv, "--config", cfg("cantor_max")])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestTextOutput:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["level", "--config", cfg("level_sets"), "--y", "0.625"],
+             "y 0.625\ndigits {1,3}\ncontinuum true\n"),
+            (["holder", "--config", cfg("cantor_max"), "--binary"],
+             "exponent 0.31739380551401475\nkind local_binary\n"),
+            (["encode", "--config", cfg("cantor_max"), "--x", "0.2"],
+             "digits 1,(0)\nerror_bound 0\n"),
+            (["variation", "--config", cfg("cantor_max"), "--rank", "3"],
+             "value 10.648000000000003\n"),
+        ],
+        ids=["level", "holder-binary", "encode-exact", "variation"],
+    )
+    def test_exact_stdout(self, capsys, argv, expected):
+        assert run(capsys, *argv)[:2] == (0, expected)
 
 
 class TestModuleEntry:
