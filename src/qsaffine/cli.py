@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import extrema, holder, selfaffine, svgplot
-from .codec import Cylinder, DigitString, FrequencyVector, cylinder_bounds, decode, encode
+from .codec import DigitString, FrequencyVector, cylinder_bounds, decode, encode
 from .config import SystemConfig, load_config
 from .errors import CertificationError, ConditionsNotMet, QsAffineError, ValidationError
 
@@ -279,9 +279,15 @@ def _cmd_sample(args, config: SystemConfig, fmt: str) -> str:
 
 
 def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:
-    if args.steps > 24:
-        raise ValidationError("at most 24 construction steps supported")
     spec = extrema.maxima_set(config.system())
+    # Every stage is kept, so the construction holds sum_{t=1..steps} |V|^t
+    # intervals of about 155 bytes each; at most 2**20 of them are allowed.
+    total, stage = 0, 1
+    for _ in range(args.steps):
+        stage *= len(spec.allowed)
+        total += stage
+        if total > 2**20:
+            raise ValidationError(f"{args.steps} construction steps need more than 2**20 intervals")
     stages = extrema.cantor_construction(spec, args.steps, merged=args.merged)
     if fmt == "svg":
         label = f"{config.label}: maximum-set construction, digits {_text(sorted(spec.allowed))}"
@@ -295,7 +301,7 @@ def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:
 
 def _point_error(d: DigitString, Q) -> float:
     """Error bound of the point of ``d``: 0 if periodic, its cylinder's width if truncated."""
-    return 0.0 if d.period is not None else cylinder_bounds(Cylinder(d.prefix), Q)[2]
+    return 0.0 if d.period is not None else cylinder_bounds(d.prefix, Q)[2]
 
 
 def _cmd_encode(args, config: SystemConfig, fmt: str) -> str:

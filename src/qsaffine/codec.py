@@ -13,8 +13,9 @@ as ``t -> offset_d + scale_d * t``: ``(beta, q)`` gives x, ``(delta, g)``
 gives f.  This module owns both walks: ``walk`` composes the maps into a
 value and ``unwalk`` descends greedily from a value back to digits;
 ``selfaffine`` and ``extrema`` reuse them.  Around them sit cylinder
-intervals, digit statistics, run lengths, and the bookkeeping for points
-that admit two expansions (a terminating one and its all-high twin).
+intervals, and the readers of a ``DigitString``'s one digit stream (heads,
+order, digit statistics, run lengths), with the bookkeeping for points that
+admit two expansions (a terminating one and its all-high twin).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Callable
+from itertools import accumulate, chain, cycle, islice
+from typing import Callable, Iterator
 
 from .errors import (
     AlphabetMismatch,
@@ -147,15 +148,20 @@ class DigitString:
             )
         return self.period[(index - len(self.prefix)) % len(self.period)]
 
+    def _digits(self) -> Iterator[int]:
+        """The prefix, then the period forever; a truncated string stops after its prefix."""
+        return chain(self.prefix, cycle(self.period or ()))
+
     def head(self, n: int) -> tuple[int, ...]:
         """First ``n`` digits."""
         if n < 0:
             raise ValidationError("digit count must be non-negative")
-        if self.period is None and n > len(self.prefix):
+        digits = tuple(islice(self._digits(), n))
+        if len(digits) < n:
             raise InsufficientDepth(
                 f"truncated string holds {len(self.prefix)} digits; {n} requested"
             )
-        return tuple(self.digit_at(i) for i in range(n))
+        return digits
 
     def prepend(self, digit: int) -> "DigitString":
         return DigitString((int(digit),) + self.prefix, self.period, self.s)
@@ -188,20 +194,6 @@ class DigitString:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """The closed interval of all points whose expansion starts with ``base``."""
-
-    base: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", tuple(int(d) for d in self.base))
-
-    @property
-    def rank(self) -> int:
-        return len(self.base)
 
 
 @dataclass(frozen=True)
@@ -339,28 +331,17 @@ def twin_representation(d: DigitString) -> DigitString | None:
     expansion and yield ``None``.  Truncated strings yield ``None``: the
     continuation is unknown.
     """
-    if d.period is None:
-        return None
-    high = d.s - 1
-    if d.period == (0,):
-        if not d.prefix:
-            return None  # x = 0
-        head, last = d.prefix[:-1], d.prefix[-1]
-        return DigitString(head + (last - 1,), (high,), d.s)
-    if d.period == (high,):
-        if not d.prefix:
-            return None  # x = 1
-        head, last = d.prefix[:-1], d.prefix[-1]
-        return DigitString(head + (last + 1,), (0,), d.s)
-    return None
+    low, high = (0,), (d.s - 1,)
+    if not d.prefix or d.period not in (low, high):
+        return None  # truncated, an interior period, or the points 0 and 1
+    up = d.period == high
+    last = d.prefix[-1] + (1 if up else -1)
+    return DigitString(d.prefix[:-1] + (last,), low if up else high, d.s)
 
 
 def _low_form(d: DigitString) -> DigitString:
-    if d.period == (d.s - 1,) and d.prefix:
-        twin = twin_representation(d)
-        assert twin is not None
-        return twin
-    return d
+    twin = twin_representation(d)
+    return twin if d.is_high and twin is not None else d
 
 
 def compare(a: DigitString, b: DigitString) -> int:
@@ -387,14 +368,7 @@ def compare(a: DigitString, b: DigitString) -> int:
             len(a.prefix) + (len(a.period) if a.period else 0),
             len(b.prefix) + (len(b.period) if b.period else 0),
         ) + 1
-    for i in range(horizon):
-        try:
-            da = a.digit_at(i)
-            db = b.digit_at(i)
-        except InsufficientDepth:
-            raise InsufficientDepth(
-                "truncated strings agree on all available digits; order undecidable"
-            ) from None
+    for da, db in zip(islice(a._digits(), horizon), islice(b._digits(), horizon)):
         if da != db:
             return -1 if da < db else 1
     if a.period is None or b.period is None:
@@ -404,17 +378,18 @@ def compare(a: DigitString, b: DigitString) -> int:
     return 0
 
 
-def cylinder_bounds(c: Cylinder, Q: StochasticVector) -> tuple[float, float, float]:
-    """(left, right, length) of the cylinder under ``Q``.
+def cylinder_bounds(base, Q: StochasticVector) -> tuple[float, float, float]:
+    """(left, right, length) of the cylinder of all points whose expansion starts with ``base``.
 
     ``left`` is the value of the base followed by zeros, ``length`` the
     product of the base weights, and ``right = left + length`` equals the
     value of the base followed by high digits.
     """
-    for dig in c.base:
+    base = tuple(int(d) for d in base)
+    for dig in base:
         if not 0 <= dig < Q.s:
             raise InvalidDigit(f"digit {dig} outside alphabet of size {Q.s}")
-    left, prod = walk(c.base, Q.beta, Q.q)
+    left, prod = walk(base, Q.beta, Q.q)
     return left, left + prod, prod
 
 
@@ -425,19 +400,15 @@ def digit_frequencies(d: DigitString, n: int | None = None) -> FrequencyVector:
     computed from one primitive period (the prefix contributes nothing to the
     limit); the result is flagged ``exact``.
     """
-    counts = [0] * d.s
     if n is None:
         if d.period is None:
             raise InsufficientDepth("limit frequencies need an exact (periodic) string")
-        for dig in d.period:
-            counts[dig] += 1
-        r = len(d.period)
-        return FrequencyVector(tuple(c / r for c in counts), n=r, exact=True)
-    if n < 1:
+        digits, n, exact = d.period, len(d.period), True
+    elif n < 1:
         raise ValidationError("frequency prefix length must be at least 1")
-    for dig in d.head(n):
-        counts[dig] += 1
-    return FrequencyVector(tuple(c / n for c in counts), n=n, exact=False)
+    else:
+        digits, exact = d.head(n), False
+    return FrequencyVector(tuple(digits.count(i) / n for i in range(d.s)), n=n, exact=exact)
 
 
 def run_length(d: DigitString, i: int, n: int) -> int | float:
@@ -452,23 +423,16 @@ def run_length(d: DigitString, i: int, n: int) -> int | float:
         raise InvalidDigit(f"digit {i} outside alphabet of size {d.s}")
     if n < 0:
         raise ValidationError("position must be non-negative")
-    idx = n
+    if d.period is not None and all(dig == i for dig in (*d.prefix[n:], *d.period)):
+        return math.inf
+    if d.period is not None and n > len(d.prefix):
+        # Past the prefix the digits repeat: skip whole periods, not digit by digit.
+        n = len(d.prefix) + (n - len(d.prefix)) % len(d.period)
     t = 0
-    lp = len(d.prefix)
-    while idx < lp:
-        if d.prefix[idx] != i:
+    for dig in islice(d._digits(), n, None):
+        if dig != i:
             return t
         t += 1
-        idx += 1
-    if d.period is None:
-        raise InsufficientDepth(
-            f"run still open at the end of a truncated string (position {idx})"
-        )
-    if all(p == i for p in d.period):
-        return math.inf
-    r = len(d.period)
-    phase = (idx - lp) % r
-    while d.period[phase] == i:
-        t += 1
-        phase = (phase + 1) % r
-    return t
+    raise InsufficientDepth(
+        f"run still open at the end of a truncated string (position {n + t})"
+    )

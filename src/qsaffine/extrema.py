@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import DigitString, StochasticVector, twin_representation, unwalk
 from .errors import (
@@ -51,11 +51,10 @@ class LevelSetDescriptor:
 
     y: float
     V: frozenset[int]
-    continuum: bool
 
-    def __post_init__(self) -> None:
-        if self.continuum != (len(self.V) >= 2):
-            raise ValidationError("continuum flag must equal |V| >= 2")
+    @property
+    def continuum(self) -> bool:
+        return len(self.V) >= 2
 
 
 @dataclass(frozen=True)
@@ -219,15 +218,15 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
     telescopes through the shrinking products), so with two or more such
     digits the level set has the cardinality of the continuum.
     """
-    if not tol >= 0.0:
-        raise ValidationError(f"level tolerance must be non-negative; got {tol!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"level tolerance must be finite and non-negative; got {tol!r}")
     if not math.isfinite(y):
         raise ValidationError(f"level value must be finite; got {y!r}")
     g, delta = system.G.g, system.G.delta
     V = frozenset(
         i for i in range(system.s) if abs(delta[i] / (1.0 - g[i]) - y) <= tol
     )
-    return LevelSetDescriptor(y=float(y), V=V, continuum=len(V) >= 2)
+    return LevelSetDescriptor(y=float(y), V=V)
 
 
 def level_witness(system: SelfAffineSystem, V, leading_zeros: int = 0) -> DigitString:

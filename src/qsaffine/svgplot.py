@@ -8,6 +8,7 @@ from __future__ import annotations
 
 WIDTH = 900
 HEIGHT = 560
+ROW_HEIGHT = 34
 MARGIN = 50
 
 
@@ -16,21 +17,17 @@ def _fc(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _header(width: int, height: int) -> list[str]:
+def _header(height: int) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{height}" fill="white"/>',
     ]
 
 
 def curve_svg(
-    samples: list[tuple[float, float, float]],
-    y_ticks: tuple[float, ...],
-    label: str,
-    width: int = WIDTH,
-    height: int = HEIGHT,
+    samples: list[tuple[float, float, float]], y_ticks: tuple[float, ...], label: str
 ) -> str:
     """Polyline over ``(x, f, err)`` samples with horizontal guides at ``y_ticks``."""
     ys = [f for _, f, _ in samples]
@@ -39,8 +36,8 @@ def curve_svg(
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo -= pad
     y_hi += pad
-    iw = width - 2 * MARGIN
-    ih = height - 2 * MARGIN
+    iw = WIDTH - 2 * MARGIN
+    ih = HEIGHT - 2 * MARGIN
 
     def px(x: float) -> float:
         return MARGIN + x * iw
@@ -48,7 +45,7 @@ def curve_svg(
     def py(y: float) -> float:
         return MARGIN + (y_hi - y) / (y_hi - y_lo) * ih
 
-    parts = _header(width, height)
+    parts = _header(HEIGHT)
     seen: set[str] = set()
     for tick in y_ticks:
         ty = _fc(py(tick))
@@ -70,7 +67,7 @@ def curve_svg(
             'stroke="#bbbbbb" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{tx}" y="{_fc(height - MARGIN + 16)}" font-size="12" '
+            f'<text x="{tx}" y="{_fc(HEIGHT - MARGIN + 16)}" font-size="12" '
             f'text-anchor="middle" fill="#444444">{tick:g}</text>'
         )
     points = " ".join(f"{_fc(px(x))},{_fc(py(f))}" for x, f, _ in samples)
@@ -78,37 +75,31 @@ def curve_svg(
         f'<polyline points="{points}" fill="none" stroke="#1b4f9c" stroke-width="1"/>'
     )
     parts.append(
-        f'<text x="{_fc(width / 2)}" y="{_fc(MARGIN - 16)}" font-size="14" '
+        f'<text x="{_fc(WIDTH / 2)}" y="{_fc(MARGIN - 16)}" font-size="14" '
         f'text-anchor="middle" fill="#000000">{label}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def bands_svg(
-    stages: list[list[tuple[float, float]]],
-    label: str,
-    width: int = WIDTH,
-    row_height: int = 34,
-) -> str:
+def bands_svg(stages: list[list[tuple[float, float]]], label: str) -> str:
     """Stacked rows of intervals, one row per construction stage."""
-    height = 2 * MARGIN + row_height * len(stages)
-    iw = width - 2 * MARGIN
-    parts = _header(width, height)
+    iw = WIDTH - 2 * MARGIN
+    parts = _header(2 * MARGIN + ROW_HEIGHT * len(stages))
     for t, intervals in enumerate(stages):
-        y = MARGIN + t * row_height
+        y = MARGIN + t * ROW_HEIGHT
         parts.append(
-            f'<text x="{_fc(MARGIN - 8)}" y="{_fc(y + row_height / 2)}" font-size="12" '
+            f'<text x="{_fc(MARGIN - 8)}" y="{_fc(y + ROW_HEIGHT / 2)}" font-size="12" '
             f'text-anchor="end" dominant-baseline="middle" fill="#444444">{t + 1}</text>'
         )
         for lo, hi in intervals:
             parts.append(
                 f'<rect x="{_fc(MARGIN + lo * iw)}" y="{_fc(y + 4)}" '
-                f'width="{_fc(max(hi - lo, 0.0) * iw)}" height="{row_height - 12}" '
+                f'width="{_fc(max(hi - lo, 0.0) * iw)}" height="{ROW_HEIGHT - 12}" '
                 'fill="#1b4f9c"/>'
             )
     parts.append(
-        f'<text x="{_fc(width / 2)}" y="{_fc(MARGIN - 16)}" font-size="14" '
+        f'<text x="{_fc(WIDTH / 2)}" y="{_fc(MARGIN - 16)}" font-size="14" '
         f'text-anchor="middle" fill="#000000">{label}</text>'
     )
     parts.append("</svg>")

@@ -164,12 +164,13 @@ class TestExitCodes:
             (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError"),
             (["level", "--y", "nan"], "ValidationError"),
             (["level", "--y", "inf"], "ValidationError"),
+            (["level", "--y", "5", "--tolerance", "inf"], "ValidationError"),
             (["sample", "--points", "5", "--depth", "0", "--format", "csv"], "ValidationError"),
             (["sample", "--points", "5", "--depth", "-3", "--format", "csv"], "ValidationError"),
         ],
         ids=[
             "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "nu-not-numbers",
-            "nu-nan", "level-y-nan", "level-y-inf", "sample-depth-0", "sample-depth-negative",
+            "nu-nan", "level-y-nan", "level-y-inf", "level-tolerance-inf", "sample-depth-0", "sample-depth-negative",
         ],
     )
     def test_bad_digit_string_is_2(self, capsys, argv, error):
@@ -441,3 +442,16 @@ class TestCantorOutputs:
             capsys, "cantor", "--config", cfg("cantor_max"), "--steps", "25",
         )
         assert rc == 2
+
+    def test_interval_cap_rejects_before_construction(self, capsys, monkeypatch):
+        # |V| = 2: 19 steps keep 2**20 - 2 intervals in all, 20 steps 2**21 - 2.
+        built = []
+        monkeypatch.setattr(
+            extrema, "cantor_construction", lambda spec, steps, merged: built.append(steps) or []
+        )
+        rc, out, err = run(capsys, "cantor", "--config", cfg("cantor_max"), "--steps", "20")
+        assert rc == 2 and out == "" and built == []
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError" and "intervals" in diag["message"]
+        rc, _, _ = run(capsys, "cantor", "--config", cfg("cantor_max"), "--steps", "19")
+        assert rc == 0 and built == [19]

@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 
 from qsaffine import (
     AlphabetMismatch,
-    Cylinder,
     DigitString,
     InsufficientDepth,
     InvalidDigit,
@@ -47,6 +46,16 @@ def exact_strings(draw, s):
     prefix = draw(st.lists(st.integers(0, s - 1), min_size=0, max_size=6))
     period = draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=4))
     return DigitString(tuple(prefix), tuple(period), s)
+
+
+@st.composite
+def any_strings(draw):
+    """``(d, prefix, period)``: a random exact or truncated string and the digits it was built from."""
+    s = draw(st.integers(2, 4))
+    digit = st.integers(0, s - 1)
+    prefix = tuple(draw(st.lists(digit, max_size=6)))
+    period = draw(st.none() | st.lists(digit, min_size=1, max_size=4).map(tuple))
+    return DigitString(prefix, period, s), prefix, period
 
 
 class TestValidation:
@@ -123,7 +132,7 @@ class TestDecode:
 
     def test_truncated_decodes_to_cylinder_left_endpoint(self):
         d = DigitString((1, 1), None, 4)
-        left, _, _ = cylinder_bounds(Cylinder((1, 1)), Q4)
+        left, _, _ = cylinder_bounds((1, 1), Q4)
         assert decode(d, Q4) == left
 
     def test_alphabet_checked(self):
@@ -232,28 +241,28 @@ class TestCompare:
 
 class TestCylinders:
     def test_rank_zero_is_unit_interval(self):
-        assert cylinder_bounds(Cylinder(()), Q4) == (0.0, 1.0, 1.0)
+        assert cylinder_bounds((), Q4) == (0.0, 1.0, 1.0)
 
     def test_half_split(self):
-        assert cylinder_bounds(Cylinder((1,)), Q2) == (0.5, 1.0, 0.5)
+        assert cylinder_bounds((1,), Q2) == (0.5, 1.0, 0.5)
 
     def test_rank_two(self):
-        left, right, length = cylinder_bounds(Cylinder((1, 1)), Q4)
+        left, right, length = cylinder_bounds((1, 1), Q4)
         assert left == pytest.approx(0.28, abs=1e-12)
         assert right == pytest.approx(0.44, abs=1e-12)
         assert length == pytest.approx(0.16, abs=1e-12)
 
     def test_endpoints_match_periodic_decodes(self):
         base = (2, 0, 1)
-        left, right, _ = cylinder_bounds(Cylinder(base), Q4)
+        left, right, _ = cylinder_bounds(base, Q4)
         assert decode(DigitString(base, (0,), 4), Q4) == pytest.approx(left, abs=1e-14)
         assert decode(DigitString(base, (3,), 4), Q4) == pytest.approx(right, abs=1e-14)
 
     @given(Q=weight_vectors(), data=st.data())
     def test_children_tile_parent(self, Q, data):
         base = tuple(data.draw(st.lists(st.integers(0, Q.s - 1), max_size=5)))
-        left, right, length = cylinder_bounds(Cylinder(base), Q)
-        child = [cylinder_bounds(Cylinder(base + (t,)), Q) for t in range(Q.s)]
+        left, right, length = cylinder_bounds(base, Q)
+        child = [cylinder_bounds(base + (t,), Q) for t in range(Q.s)]
         assert child[0][0] == pytest.approx(left, abs=1e-12)
         assert child[-1][1] == pytest.approx(right, abs=1e-12)
         for t in range(Q.s - 1):
@@ -311,3 +320,48 @@ class TestRunLength:
     def test_truncated_open_run(self):
         with pytest.raises(InsufficientDepth):
             run_length(DigitString((1, 0, 0), None, 3), 0, 1)
+
+
+class TestDigitReaders:
+    # 24 digits cover a prefix of at most 6 digits and every phase of a period
+    # of at most 4, read from any start position up to 12.
+    @given(drawn=any_strings())
+    def test_readers_match_expanded_reference(self, drawn):
+        d, prefix, period = drawn
+        ref = prefix if period is None else (prefix + period * 24)[:24]
+
+        for j in range(len(ref)):
+            assert d.digit_at(j) == ref[j]
+        if period is None:
+            with pytest.raises(InsufficientDepth):
+                d.digit_at(len(ref))
+            with pytest.raises(InsufficientDepth):
+                digit_frequencies(d)
+        else:
+            nu = tuple(period.count(j) / len(period) for j in range(d.s))
+            assert digit_frequencies(d).nu == nu
+
+        for n in range(13):
+            if n <= len(ref):
+                assert d.head(n) == ref[:n]
+            else:
+                with pytest.raises(InsufficientDepth):
+                    d.head(n)
+                with pytest.raises(InsufficientDepth):
+                    digit_frequencies(d, n)
+            if 1 <= n <= len(ref):
+                nu = tuple(ref[:n].count(j) / n for j in range(d.s))
+                assert digit_frequencies(d, n).nu == nu
+
+            for i in range(d.s):
+                run = 0
+                while n + run < len(ref) and ref[n + run] == i:
+                    run += 1
+                if period is not None and all(dig == i for dig in prefix[n:] + period):
+                    assert run_length(d, i, n) == math.inf
+                elif n + run < len(ref):
+                    assert run_length(d, i, n) == run
+                else:
+                    assert period is None
+                    with pytest.raises(InsufficientDepth):
+                        run_length(d, i, n)
