@@ -123,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) -> dict:
     """Deterministic aggregate report; every numeric block carries its tolerance."""
+    if depth is not None and depth < 1:
+        raise ValidationError("depth must be at least 1")
     system = config.system()
     g, delta = system.G.g, system.G.delta
     k = extrema.closed_form_regime(system)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .codec import DigitString, StochasticVector, twin_representation, unwalk
+from .codec import DigitString, StochasticVector, twin_representation, unwalk, walk
 from .errors import (
     CertificationError,
     ConditionsNotMet,
@@ -97,10 +98,11 @@ class NonInvarianceReport:
     """Desk-scale certificate that f maps a thin set onto all of [0, 1].
 
     ``dimension`` (< 1) is the Hausdorff dimension of the digit-restricted
-    set over ``restricted_digits``; each sampled y in [0, 1] received a
-    preimage witness inside it with evaluation residual below
-    ``residual_bound``.  A set of dimension < 1 (hence Lebesgue-null and
-    nowhere dense) therefore covers a full interval under f.
+    set over ``restricted_digits``; each of the ``samples`` targets y in
+    [0, 1] (the same for every system with the same seed) received a
+    preimage witness inside it, ``depth`` digits deep, whose forward walk
+    lands within ``residual_bound`` of y.  A set of dimension < 1 (hence
+    Lebesgue-null and nowhere dense) therefore covers a full interval under f.
     """
 
     dimension: float
@@ -336,6 +338,8 @@ def preimage_residual_bound(system: SelfAffineSystem, depth: int) -> float:
     relative error of about ``j * eps``), so an exact witness passes even
     where the truncation term falls below double rounding.
     """
+    if depth < 1:
+        raise ValidationError("depth must be at least 1")
     k = _require_regime(system)
     g_star = max(system.G.g[:k])
     scale = max(1.0, max(abs(d) for d in system.G.delta))
@@ -359,6 +363,12 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
     return DigitString(digits, period, system.s)
 
 
+@lru_cache(maxsize=8)
+def _targets(seed: int, samples: int) -> tuple[float, ...]:
+    """The uniform targets of the certificate: target j from its own seeded generator."""
+    return tuple(random.Random(seed * 1_000_003 + j).random() for j in range(samples))
+
+
 def non_invariance_certificate(
     system: SelfAffineSystem, samples: int, depth: int = PREIMAGE_DEPTH, seed: int = 0
 ) -> NonInvarianceReport:
@@ -367,8 +377,12 @@ def non_invariance_certificate(
     Computes the Hausdorff dimension of the digit-restricted set over
     {0, ..., k-1} (asserted < 1) and, for ``samples`` reproducible uniform
     targets y, builds a preimage witness inside it; a witness whose residual
-    exceeds the guaranteed bound raises ``CertificationError``.  Sample j
-    draws from its own seeded generator, so the batch is order-independent.
+    exceeds the guaranteed bound raises ``CertificationError``.  Target j
+    draws from its own seeded generator, so the batch is order-independent;
+    the targets depend on ``(seed, samples)`` only and are drawn once.  Each
+    witness is the ``preimage_digits`` walk, and its value is the forward
+    ``walk`` of those digits: a zero tail adds nothing, so this equals
+    ``evaluate`` of the witness up to the sign of a zero.
     """
     k = _require_regime(system)
     if samples < 0:
@@ -378,13 +392,13 @@ def non_invariance_certificate(
     if not dim < 1.0:
         raise CertificationError("restricted digit set must have dimension below 1")
     bound = preimage_residual_bound(system, depth)
+    delta, g = system.G.delta, system.G.g
     max_residual: float | None = None
-    for j in range(samples):
-        y = random.Random(seed * 1_000_003 + j).random()
-        witness = preimage_digits(system, y, depth)
-        if any(dig >= k for dig in witness.prefix):
+    for y in _targets(seed, samples):
+        digits, _ = unwalk(y, delta[:k], g, depth, None)
+        if max(digits, default=0) >= k:
             raise CertificationError("preimage witness left the restricted digit set")
-        residual = abs(evaluate(system, witness).value - y)
+        residual = abs(walk(digits, delta, g)[0] - y)
         if residual > bound:
             raise CertificationError(
                 f"witness residual {residual!r} exceeds the guaranteed bound {bound!r}"

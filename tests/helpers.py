@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from qsaffine import DigitString, SelfAffineSystem
+from qsaffine.config import SystemConfig
 
 
 def system(q, g) -> SelfAffineSystem:
@@ -20,6 +21,13 @@ SINGULAR_S3 = system((0.5, 0.3, 0.2), (0.2, 0.9, -0.1))
 ROUGH_S3 = system((0.4, 0.4, 0.2), (2 / 3, 2 / 3, -1 / 3))
 DEEP_MIN_S3 = system((0.3, 0.45, 0.25), (0.6, 0.9, -0.5))
 IDENTITY_S3 = system((0.5, 0.25, 0.25), (0.5, 0.25, 0.25))
+# Low-digit ratios so small that (M - m) * max(g[:k])**64 is about 5e-21,
+# far below the rounding of the witness sums the certificate checks.
+TIGHT_CONFIG = SystemConfig(
+    ("88/1000", "561/1000", "66/1000", "285/1000"),
+    ("204/1000", "480/1000", "416/1000", "-100/1000"),
+    "tight",
+)
 
 FIGURE_CONFIGS = (
     "cantor_max",

@@ -14,7 +14,7 @@ from qsaffine.cli import EXIT_INTERNAL, build_analysis, main
 from qsaffine.config import SystemConfig, load_config
 from qsaffine.errors import CertificationError
 from qsaffine.extrema import LEVEL_TOL, level_set
-from helpers import random_admissible_system
+from helpers import TIGHT_CONFIG, random_admissible_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,14 +106,7 @@ class TestAnalyze:
                 assert every == list(range(system.s)), config.label
 
     def test_tight_preimage_bound_system(self):
-        # Low-digit ratios so small that (M - m) * max(g[:k])**64 is about 5e-21,
-        # far below the rounding of the witness sums the certificate checks.
-        config = SystemConfig(
-            ("88/1000", "561/1000", "66/1000", "285/1000"),
-            ("204/1000", "480/1000", "416/1000", "-100/1000"),
-            "tight",
-        )
-        report = build_analysis(config, LEVEL_TOL, 64)
+        report = build_analysis(TIGHT_CONFIG, LEVEL_TOL, 64)
         ni = report["non_invariance"]
         assert ni["depth"] == 64 and ni["samples"] > 0
         assert ni["max_residual"] <= ni["residual_bound"]
@@ -155,26 +148,30 @@ class TestExitCodes:
         assert rc == 4
 
     @pytest.mark.parametrize(
-        "argv, error",
+        "argv, error, config",
         [
-            (["eval", "--digits", "(7)"], "InvalidDigit"),
-            (["eval", "--digits", "(a)"], "ValidationError"),
-            (["holder", "--digits", "(1)", "--ranks", "a:b"], "ValidationError"),
-            (["holder", "--nu", "x,y,z"], "ValidationError"),
-            (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError"),
-            (["level", "--y", "nan"], "ValidationError"),
-            (["level", "--y", "inf"], "ValidationError"),
-            (["level", "--y", "5", "--tolerance", "inf"], "ValidationError"),
-            (["sample", "--points", "5", "--depth", "0", "--format", "csv"], "ValidationError"),
-            (["sample", "--points", "5", "--depth", "-3", "--format", "csv"], "ValidationError"),
+            (["eval", "--digits", "(7)"], "InvalidDigit", "cantor_max"),
+            (["eval", "--digits", "(a)"], "ValidationError", "cantor_max"),
+            (["holder", "--digits", "(1)", "--ranks", "a:b"], "ValidationError", "cantor_max"),
+            (["holder", "--nu", "x,y,z"], "ValidationError", "cantor_max"),
+            (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError", "cantor_max"),
+            (["level", "--y", "nan"], "ValidationError", "cantor_max"),
+            (["level", "--y", "inf"], "ValidationError", "cantor_max"),
+            (["level", "--y", "5", "--tolerance", "inf"], "ValidationError", "cantor_max"),
+            (["sample", "--points", "5", "--depth", "0", "--format", "csv"], "ValidationError", "cantor_max"),
+            (["sample", "--points", "5", "--depth", "-3", "--format", "csv"], "ValidationError", "cantor_max"),
+            # Outside the regime the depth is never used, but it is still checked.
+            (["analyze", "--depth", "0"], "ValidationError", "identity"),
+            (["analyze", "--depth", "-4"], "ValidationError", "identity"),
         ],
         ids=[
             "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "nu-not-numbers",
             "nu-nan", "level-y-nan", "level-y-inf", "level-tolerance-inf", "sample-depth-0", "sample-depth-negative",
+            "analyze-depth-0", "analyze-depth-negative",
         ],
     )
-    def test_bad_digit_string_is_2(self, capsys, argv, error):
-        rc, _, err = run(capsys, *argv, "--config", cfg("cantor_max"))
+    def test_bad_digit_string_is_2(self, capsys, argv, error, config):
+        rc, _, err = run(capsys, *argv, "--config", cfg(config))
         assert rc == 2
         assert json.loads(err)["error"] == error
 

@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qsaffine import (
     CertificationError,
     ConditionsNotMet,
     DigitString,
+    NonInvarianceReport,
     OutOfDomain,
     PreconditionViolated,
     ValidationError,
@@ -29,16 +32,46 @@ from qsaffine import (
     preimage_digits,
     preimage_residual_bound,
 )
+from qsaffine.codec import unwalk, walk
+from qsaffine.config import load_config
 from helpers import (
     CANTOR_MAX,
     DEEP_MIN_S3,
+    FIGURE_CONFIGS,
     IDENTITY_S3,
     LEVEL_SETS,
     ROUGH_S3,
     SINGULAR_S3,
+    TIGHT_CONFIG,
     random_regime_system,
     system as make_system,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+TIGHT = TIGHT_CONFIG.system()
+
+
+def reference_certificate(system, samples, depth, seed):
+    """The witness loop written out: one generator per target, preimage_digits, evaluate."""
+    k = closed_form_regime(system)
+    bound = preimage_residual_bound(system, depth)
+    max_residual = None
+    for j in range(samples):
+        y = random.Random(seed * 1_000_003 + j).random()
+        witness = preimage_digits(system, y, depth)
+        assert all(dig < k for dig in witness.prefix)
+        residual = abs(evaluate(system, witness).value - y)
+        assert residual <= bound
+        if max_residual is None or residual > max_residual:
+            max_residual = residual
+    return NonInvarianceReport(
+        dimension=moran_dimension(system.Q, range(k)),
+        restricted_digits=frozenset(range(k)),
+        samples=samples,
+        depth=depth,
+        residual_bound=bound,
+        max_residual=max_residual,
+    )
 
 
 class TestRegime:
@@ -331,3 +364,35 @@ class TestNonInvariance:
     def test_outside_regime(self):
         with pytest.raises(ConditionsNotMet):
             non_invariance_certificate(IDENTITY_S3, samples=1)
+
+    def test_matches_witness_reference(self):
+        bundled = [load_config(CONFIG_DIR / f"{name}.cfg").system() for name in FIGURE_CONFIGS]
+        rng = np.random.default_rng(6)
+        systems = [s for s in bundled if closed_form_regime(s) is not None]
+        assert len(systems) == 4
+        systems += [random_regime_system(rng)[0] for _ in range(8)] + [TIGHT]
+        for system in systems:
+            for seed, samples, depth in itertools.product((0, 1, 7), (0, 1, 16, 100), (1, 16, 64, 200)):
+                got = non_invariance_certificate(system, samples, depth=depth, seed=seed)
+                assert got == reference_certificate(system, samples, depth, seed)
+
+    def test_witness_value_at_closing_targets(self):
+        # At y = delta_a the walk closes with period (0,) after digit a (at
+        # y = delta_0 = 0 before any digit): the forward walk of the digits
+        # then equals evaluate of the canonical string, whose trailing zeros
+        # are dropped.
+        for system in (CANTOR_MAX, ROUGH_S3, DEEP_MIN_S3, TIGHT):
+            k = closed_form_regime(system)
+            delta, g = system.G.delta, system.G.g
+            for y in [d for d in delta[:k] if d <= 1.0]:
+                digits, period = unwalk(y, delta[:k], g, 64, None)
+                assert period == (0,)
+                assert walk(digits, delta, g)[0] == evaluate(system, preimage_digits(system, y, 64)).value
+
+    def test_depth_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="depth must be at least 1"):
+            preimage_residual_bound(CANTOR_MAX, 0)
+        with pytest.raises(ValidationError, match="depth must be at least 1"):
+            non_invariance_certificate(CANTOR_MAX, samples=0, depth=0)
+        with pytest.raises(ValidationError, match="depth must be at least 1"):
+            non_invariance_certificate(CANTOR_MAX, samples=16, depth=-3)
