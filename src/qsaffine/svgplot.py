@@ -38,12 +38,10 @@ def curve_svg(
     y_hi += pad
     iw = WIDTH - 2 * MARGIN
     ih = HEIGHT - 2 * MARGIN
-
-    def px(x: float) -> float:
-        return MARGIN + x * iw
+    span = y_hi - y_lo
 
     def py(y: float) -> float:
-        return MARGIN + (y_hi - y) / (y_hi - y_lo) * ih
+        return MARGIN + (y_hi - y) / span * ih
 
     parts = _header(HEIGHT)
     seen: set[str] = set()
@@ -53,7 +51,7 @@ def curve_svg(
             continue
         seen.add(ty)
         parts.append(
-            f'<line x1="{_fc(px(0.0))}" y1="{ty}" x2="{_fc(px(1.0))}" y2="{ty}" '
+            f'<line x1="{_fc(MARGIN)}" y1="{ty}" x2="{_fc(MARGIN + iw)}" y2="{ty}" '
             'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4,4"/>'
         )
         parts.append(
@@ -61,7 +59,7 @@ def curve_svg(
             f'dominant-baseline="middle" fill="#444444">{tick:.6g}</text>'
         )
     for tick in (0.0, 1.0):
-        tx = _fc(px(tick))
+        tx = _fc(MARGIN + tick * iw)
         parts.append(
             f'<line x1="{tx}" y1="{_fc(py(y_lo))}" x2="{tx}" y2="{_fc(py(y_hi))}" '
             'stroke="#bbbbbb" stroke-width="1"/>'
@@ -70,7 +68,10 @@ def curve_svg(
             f'<text x="{tx}" y="{_fc(HEIGHT - MARGIN + 16)}" font-size="12" '
             f'text-anchor="middle" fill="#444444">{tick:g}</text>'
         )
-    points = " ".join(f"{_fc(px(x))},{_fc(py(f))}" for x, f, _ in samples)
+    # x and py(f) written out, the same float operations with one format per point.
+    points = " ".join(
+        ["%.3f,%.3f" % (MARGIN + x * iw, MARGIN + (y_hi - f) / span * ih) for x, f, _ in samples]
+    )
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1b4f9c" stroke-width="1"/>'
     )
@@ -92,12 +93,9 @@ def bands_svg(stages: list[list[tuple[float, float]]], label: str) -> str:
             f'<text x="{_fc(MARGIN - 8)}" y="{_fc(y + ROW_HEIGHT / 2)}" font-size="12" '
             f'text-anchor="end" dominant-baseline="middle" fill="#444444">{t + 1}</text>'
         )
-        for lo, hi in intervals:
-            parts.append(
-                f'<rect x="{_fc(MARGIN + lo * iw)}" y="{_fc(y + 4)}" '
-                f'width="{_fc(max(hi - lo, 0.0) * iw)}" height="{ROW_HEIGHT - 12}" '
-                'fill="#1b4f9c"/>'
-            )
+        rect = (f'<rect x="%.3f" y="{_fc(y + 4)}" width="%.3f" height="{ROW_HEIGHT - 12}" '
+                'fill="#1b4f9c"/>')
+        parts += [rect % (MARGIN + lo * iw, max(hi - lo, 0.0) * iw) for lo, hi in intervals]
     parts.append(
         f'<text x="{_fc(WIDTH / 2)}" y="{_fc(MARGIN - 16)}" font-size="14" '
         f'text-anchor="middle" fill="#000000">{label}</text>'

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,20 +8,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import qsaffine
-from qsaffine import extrema
-from qsaffine.cli import EXIT_INTERNAL, build_analysis, main
+from qsaffine import cli, extrema, selfaffine, svgplot
+from qsaffine.cli import EXIT_INTERNAL, MAX_DEPTH, _f, build_analysis, main
 from qsaffine.config import SystemConfig, load_config
 from qsaffine.errors import CertificationError
 from qsaffine.extrema import LEVEL_TOL, level_set
-from helpers import TIGHT_CONFIG, random_admissible_system
+from qsaffine.svgplot import _fc
+from helpers import TIGHT_CONFIG, random_admissible_system, random_regime_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(capsys, *argv):
-    rc = main(list(argv))
+    """``(exit code, stdout, stderr)`` of ``main(argv)``, an argparse rejection included."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -33,6 +40,10 @@ def write_config(tmp_path, text, name="sys.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def as_config(system, label="random"):
+    return SystemConfig(tuple(map(repr, system.Q.q)), tuple(map(repr, system.G.g)), label)
 
 
 class TestAnalyze:
@@ -452,3 +463,179 @@ class TestCantorOutputs:
         assert diag["error"] == "ValidationError" and "intervals" in diag["message"]
         rc, _, _ = run(capsys, "cantor", "--config", cfg("cantor_max"), "--steps", "19")
         assert rc == 0 and built == [19]
+
+
+class TestDepthCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--depth", "1000000"],
+            ["analyze", "--depth", "65537", "--format", "json"],
+            ["sample", "--points", "5", "--depth", "65537"],
+            ["encode", "--x", "0.3", "--depth", "65537"],
+            ["eval", "--x", "0.3", "--depth", "65537"],
+            ["preimage", "--y", "0.3", "--depth", "65537"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[argv.index('--depth') + 1]}",
+    )
+    def test_depth_above_cap_is_2_before_any_walk(self, capsys, monkeypatch, argv):
+        loaded = []
+        monkeypatch.setattr(cli, "load_config", loaded.append)
+        rc, out, err = run(capsys, *argv, "--config", cfg("cantor_max"))
+        assert (rc, out, loaded) == (2, "", [])
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError" and "cap of 65536" in diag["message"]
+
+    def test_depth_at_cap_runs(self, capsys):
+        assert MAX_DEPTH == 2**16
+        rc, out, _ = run(
+            capsys, "preimage", "--config", cfg("cantor_max"), "--y", "0.3",
+            "--depth", "65536", "--format", "json",
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["residual"] <= payload["residual_bound"]
+
+
+class TestParserCache:
+    # (argv, exit code) calls in a row whose outputs differ, so carried state would show.
+    SEQUENCES = {
+        "merged-then-plain": [
+            (["cantor", "--config", cfg("cantor_max"), "--steps", "3", "--format", "csv", "--merged"], 0),
+            (["cantor", "--config", cfg("cantor_max"), "--steps", "3", "--format", "csv"], 0),
+        ],
+        "exit-2-then-valid": [
+            (["cantor", "--config", cfg("cantor_max"), "--steps", "3", "--depth", "5"], 2),
+            (["analyze", "--config", cfg("identity"), "--format", "csv"], 2),
+            (["level", "--config", cfg("level_sets"), "--y", "0.625"], 0),
+        ],
+        "tolerance-then-default": [
+            (["analyze", "--config", cfg("level_sets"), "--format", "json", "--tolerance", "0.05"], 0),
+            (["analyze", "--config", cfg("level_sets"), "--format", "json"], 0),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_calls_in_a_row_match_fresh_parsers(self, capsys, monkeypatch, name):
+        calls = self.SEQUENCES[name]
+        cached = [run(capsys, *argv) for argv, _ in calls]
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert [run(capsys, *argv) for argv, _ in calls] == cached
+        assert [rc for rc, _, _ in cached] == [rc for _, rc in calls]
+        assert len(set(cached)) == len(cached)
+
+
+def reference_curve_svg(rows, ticks, label):
+    """``svgplot.curve_svg`` built per value: one ``_fc`` call per coordinate."""
+    W, H, M = svgplot.WIDTH, svgplot.HEIGHT, svgplot.MARGIN
+    ys = [f for _, f, _ in rows]
+    y_lo, y_hi = min(min(ys), min(ticks)), max(max(ys), max(ticks))
+    pad = 0.05 * (y_hi - y_lo or 1.0)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    iw, ih = W - 2 * M, H - 2 * M
+
+    def px(x):
+        return M + x * iw
+
+    def py(y):
+        return M + (y_hi - y) / (y_hi - y_lo) * ih
+
+    parts = svgplot._header(H)
+    seen = set()
+    for tick in ticks:
+        ty = _fc(py(tick))
+        if ty not in seen:
+            seen.add(ty)
+            parts.append(f'<line x1="{_fc(px(0.0))}" y1="{ty}" x2="{_fc(px(1.0))}" y2="{ty}" '
+                         'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4,4"/>')
+            parts.append(f'<text x="{_fc(M - 6)}" y="{ty}" font-size="12" text-anchor="end" '
+                         f'dominant-baseline="middle" fill="#444444">{tick:.6g}</text>')
+    for tick in (0.0, 1.0):
+        tx = _fc(px(tick))
+        parts.append(f'<line x1="{tx}" y1="{_fc(py(y_lo))}" x2="{tx}" y2="{_fc(py(y_hi))}" '
+                     'stroke="#bbbbbb" stroke-width="1"/>')
+        parts.append(f'<text x="{tx}" y="{_fc(H - M + 16)}" font-size="12" '
+                     f'text-anchor="middle" fill="#444444">{tick:g}</text>')
+    points = " ".join(f"{_fc(px(x))},{_fc(py(f))}" for x, f, _ in rows)
+    parts.append(f'<polyline points="{points}" fill="none" stroke="#1b4f9c" stroke-width="1"/>')
+    parts.append(f'<text x="{_fc(W / 2)}" y="{_fc(M - 16)}" font-size="14" '
+                 f'text-anchor="middle" fill="#000000">{label}</text>')
+    return "\n".join(parts + ["</svg>"]) + "\n"
+
+
+def reference_bands_svg(stages, label):
+    """``svgplot.bands_svg`` built per value: one ``_fc`` call per coordinate."""
+    W, M, R = svgplot.WIDTH, svgplot.MARGIN, svgplot.ROW_HEIGHT
+    iw = W - 2 * M
+    parts = svgplot._header(2 * M + R * len(stages))
+    for t, intervals in enumerate(stages):
+        y = M + t * R
+        parts.append(f'<text x="{_fc(M - 8)}" y="{_fc(y + R / 2)}" font-size="12" '
+                     f'text-anchor="end" dominant-baseline="middle" fill="#444444">{t + 1}</text>')
+        for lo, hi in intervals:
+            parts.append(f'<rect x="{_fc(M + lo * iw)}" y="{_fc(y + 4)}" '
+                         f'width="{_fc(max(hi - lo, 0.0) * iw)}" height="{R - 12}" fill="#1b4f9c"/>')
+    parts.append(f'<text x="{_fc(W / 2)}" y="{_fc(M - 16)}" font-size="14" '
+                 f'text-anchor="middle" fill="#000000">{label}</text>')
+    return "\n".join(parts + ["</svg>"]) + "\n"
+
+
+def lines(text):
+    # A list compares with a short report on failure; a long string diff can take minutes.
+    return text.splitlines(keepends=True)
+
+
+def check_sample(config, rows, points):
+    """Both ``sample`` outputs of ``rows`` equal the per-value references."""
+    args = argparse.Namespace(points=points, depth=None)
+    csv = "".join(f"{_f(x)},{_f(v)},{_f(e)}\n" for x, v, e in rows)
+    assert lines(cli._cmd_sample(args, config, "csv")) == lines("x,f,error_bound\n" + csv)
+    b = config.system().bounds
+    label = f"{config.label}: graph of f ({points} target points)"
+    expected = reference_curve_svg(rows, (0.0, b.m, 1.0, b.M), label)
+    assert lines(cli._cmd_sample(args, config, "svg")) == lines(expected)
+
+
+def check_cantor(config, stages, steps, merged):
+    """Both ``cantor`` outputs of ``stages`` equal the per-value references."""
+    args = argparse.Namespace(steps=steps, merged=merged)
+    csv = "".join(
+        f"{t},{idx},{_f(lo)},{_f(hi)}\n"
+        for t, intervals in enumerate(stages, start=1)
+        for idx, (lo, hi) in enumerate(intervals)
+    )
+    assert lines(cli._cmd_cantor(args, config, "csv")) == lines("stage,index,left,right\n" + csv)
+    digits = cli._text(sorted(extrema.maxima_set(config.system()).allowed))
+    label = f"{config.label}: maximum-set construction, digits {digits}"
+    assert lines(cli._cmd_cantor(args, config, "svg")) == lines(reference_bands_svg(stages, label))
+
+
+# -0.0, the least subnormal, 1.0, and 2/3 and 0.1, whose 17th digits round.
+AWKWARD = (-0.0, 5e-324, 1.0, 2 / 3, 0.1)
+
+
+class TestOnePassFormats:
+    @given(v=st.floats(allow_nan=True, allow_infinity=True))
+    def test_percent_format_is_format(self, v):
+        assert "%.17g" % v == _f(v)
+        assert "%.3f" % v == _fc(v)
+
+    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(2, 600))
+    def test_sample_matches_per_value_reference(self, seed, points):
+        system = random_admissible_system(np.random.default_rng(seed))
+        check_sample(as_config(system), selfaffine.sample(system, points), points)
+
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6), merged=st.booleans())
+    def test_cantor_matches_per_value_reference(self, seed, steps, merged):
+        config = as_config(random_regime_system(np.random.default_rng(seed))[0])
+        spec = extrema.maxima_set(config.system())
+        check_cantor(config, extrema.cantor_construction(spec, steps, merged), steps, merged)
+
+    def test_awkward_values(self, monkeypatch):
+        rows = [(x, v, e) for x in AWKWARD for v in AWKWARD for e in AWKWARD[:3]]
+        monkeypatch.setattr(selfaffine, "sample", lambda system, points, depth: rows)
+        check_sample(load_config(cfg("identity")), rows, 5)
+        stages = [[(lo, hi) for lo in AWKWARD for hi in AWKWARD], [(2 / 3, 0.1), (1.0, 1.0)]]
+        monkeypatch.setattr(extrema, "cantor_construction", lambda spec, steps, merged: stages)
+        check_cantor(load_config(cfg("cantor_max")), stages, 2, False)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
 from qsaffine import (
@@ -388,6 +389,16 @@ class TestNonInvariance:
                 digits, period = unwalk(y, delta[:k], g, 64, None)
                 assert period == (0,)
                 assert walk(digits, delta, g)[0] == evaluate(system, preimage_digits(system, y, 64)).value
+
+    @given(seed=st.integers(0, 2**32 - 1), y=st.floats(0.0, 1.0), depth=st.integers(1, 200))
+    def test_witness_digits_stay_below_k(self, seed, y, depth):
+        # The certificate keeps no restricted-digit check: unwalk bisects over
+        # delta[:k] from delta_0 = 0, so no digit it returns can reach k.
+        system, k = random_regime_system(np.random.default_rng(seed))
+        delta, g = system.G.delta, system.G.g
+        for t in (y, 0.0, 1.0, *(d for d in delta[:k] if d <= 1.0)):
+            digits, _ = unwalk(t, delta[:k], g, depth, None)
+            assert all(d < k for d in digits)
 
     def test_depth_below_one_rejected(self):
         with pytest.raises(ValidationError, match="depth must be at least 1"):
