@@ -62,6 +62,8 @@ def _render(payload: dict, fmt: str, *keys: str) -> str:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and reused: the handlers and defaults (``--tolerance`` from
+    ``extrema.LEVEL_TOL``) are bound then, so patching them later has no effect."""
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--config", required=True, help="system definition file")
     base.add_argument("--format", choices=("json", "text", "csv", "svg"), default=None)
@@ -396,7 +398,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"depth {args.depth} is above the cap of {MAX_DEPTH} digits")
         fmt = args.format or args.formats[0]
         if fmt not in args.formats:
-            raise ValidationError(f"format {fmt!r} not supported here; choose one of {args.formats}")
+            raise ValidationError(
+                f"format {fmt!r} not supported here; choose one of {args.formats}"
+            )
         text = args.run(args, load_config(args.config), fmt)
         if args.out is None:
             sys.stdout.write(text)

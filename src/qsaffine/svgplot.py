@@ -38,10 +38,9 @@ def curve_svg(
     y_hi += pad
     iw = WIDTH - 2 * MARGIN
     ih = HEIGHT - 2 * MARGIN
-    span = y_hi - y_lo
 
     def py(y: float) -> float:
-        return MARGIN + (y_hi - y) / span * ih
+        return MARGIN + (y_hi - y) / (y_hi - y_lo) * ih
 
     parts = _header(HEIGHT)
     seen: set[str] = set()
@@ -68,10 +67,7 @@ def curve_svg(
             f'<text x="{tx}" y="{_fc(HEIGHT - MARGIN + 16)}" font-size="12" '
             f'text-anchor="middle" fill="#444444">{tick:g}</text>'
         )
-    # x and py(f) written out, the same float operations with one format per point.
-    points = " ".join(
-        ["%.3f,%.3f" % (MARGIN + x * iw, MARGIN + (y_hi - f) / span * ih) for x, f, _ in samples]
-    )
+    points = " ".join(["%.3f,%.3f" % (MARGIN + x * iw, py(f)) for x, f, _ in samples])
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1b4f9c" stroke-width="1"/>'
     )

@@ -23,11 +23,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(capsys, *argv):
-    """``(exit code, stdout, stderr)`` of ``main(argv)``, an argparse rejection included."""
-    try:
-        rc = main(list(argv))
-    except SystemExit as exc:
-        rc = exc.code
+    rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -515,13 +511,23 @@ class TestParserCache:
         ],
     }
 
+    @staticmethod
+    def run_or_exit(capsys, argv):
+        # An argparse rejection (``cantor --depth``) raises SystemExit; keep its code.
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
     @pytest.mark.parametrize("name", SEQUENCES)
     def test_calls_in_a_row_match_fresh_parsers(self, capsys, monkeypatch, name):
         calls = self.SEQUENCES[name]
-        cached = [run(capsys, *argv) for argv, _ in calls]
+        cached = [self.run_or_exit(capsys, argv) for argv, _ in calls]
         assert cli._build_parser() is cli._build_parser()
         monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-        assert [run(capsys, *argv) for argv, _ in calls] == cached
+        assert [self.run_or_exit(capsys, argv) for argv, _ in calls] == cached
         assert [rc for rc, _, _ in cached] == [rc for _, rc in calls]
         assert len(set(cached)) == len(cached)
 
