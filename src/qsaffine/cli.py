@@ -33,8 +33,10 @@ ANALYZE_SAMPLES = 16
 ANALYZE_SEED = 0
 #: Tolerance reported with the analytic exponents and the maximum-set dimension.
 ANALYZE_TOL = 1e-12
-#: Largest ``--depth`` any command accepts: every digit requested is walked.
+#: Largest ``--depth``, and ``--ranks`` end, any command accepts: every digit requested is walked.
 MAX_DEPTH = 2**16
+#: Largest ``sample --points``: the rows grow linearly with it (2**17 gives about 376k rows).
+MAX_POINTS = 2**17
 
 TEXT = ("text", "json")
 PLOT = ("csv", "svg")
@@ -276,6 +278,8 @@ def _cmd_analyze(args, config: SystemConfig, fmt: str) -> str:
 
 
 def _cmd_sample(args, config: SystemConfig, fmt: str) -> str:
+    if args.points > MAX_POINTS:
+        raise ValidationError(f"{args.points} points are above the cap of {MAX_POINTS}")
     system = config.system()
     rows = selfaffine.sample(system, args.points, depth=args.depth)
     if fmt == "svg":
@@ -352,11 +356,15 @@ def _cmd_holder(args, config: SystemConfig, fmt: str) -> str:
     elif args.digits is not None:
         lo, _, hi = args.ranks.partition(":")
         try:
-            ranks = range(int(lo), int(hi) + 1)
+            first, last = int(lo), int(hi)
         except ValueError as exc:
             raise ValidationError(f"--ranks must be A:B with integers; got {args.ranks!r}") from exc
+        if first < 1 or last > MAX_DEPTH:  # checked before the library lists every rank
+            raise ValidationError(
+                f"--ranks A:B needs A >= 1 and B at most the cap of {MAX_DEPTH}; got {args.ranks!r}"
+            )
         d = DigitString.from_text(args.digits, system.s)
-        report = holder.empirical_exponent(system, d, ranks)
+        report = holder.empirical_exponent(system, d, range(first, last + 1))
     else:
         report = holder.global_exponent(system)
     payload = {"exponent": report.exponent, "kind": report.kind, "note": report.note}

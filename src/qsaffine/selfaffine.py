@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .codec import (
-    DigitString, StochasticVector, check_alphabet, encode, periodic_tail_value, running_sums, walk,
+    DigitString, StochasticVector, check_alphabet, periodic_tail_value, running_sums, unwalk, walk,
 )
 from .errors import CertificationError, InvalidDigit, ValidationError
 
@@ -188,6 +188,27 @@ def global_bounds(system: SelfAffineSystem) -> BoundsPair:
     return system.bounds
 
 
+def _sum(system: SelfAffineSystem, digits, period) -> Evaluation:
+    """f at ``digits`` followed by ``period`` (None: truncated), as ``evaluate`` defines it.
+
+    Trailing digits equal to a one-digit period are dropped first, as the
+    canonical form of ``DigitString`` drops them: ``codec.unwalk`` can close
+    ``..., s-1`` with period ``(s-1,)``, and walking those digits would round
+    differently from the closed-form tail.
+    """
+    delta, g = system.G.delta, system.G.g
+    if period is not None and len(period) == 1:
+        n = len(digits)
+        while n and digits[n - 1] == period[0]:
+            n -= 1
+        digits = digits[:n]
+    acc, prod = walk(digits, delta, g)
+    if period is None:
+        return Evaluation(acc, system.bounds.span * abs(prod))
+    acc += prod * periodic_tail_value(period, delta, g, system.s)
+    return Evaluation(acc, 0.0)
+
+
 def evaluate(system: SelfAffineSystem, d: DigitString) -> Evaluation:
     """f at the point with digits ``d``.
 
@@ -196,18 +217,20 @@ def evaluate(system: SelfAffineSystem, d: DigitString) -> Evaluation:
     most ``(M - m) * prod |g_{a_j}|`` over the consumed digits.
     """
     check_alphabet(d, system.s)
-    delta, g = system.G.delta, system.G.g
-    acc, prod = walk(d.prefix, delta, g)
-    if d.period is None:
-        return Evaluation(acc, system.bounds.span * abs(prod))
-    acc += prod * periodic_tail_value(d.period, delta, g, system.s)
-    return Evaluation(acc, 0.0)
+    return _sum(system, d.prefix, d.period)
 
 
 def evaluate_at(system: SelfAffineSystem, x: float, depth: int | None = None) -> Evaluation:
-    """f(x) via encode-then-evaluate at the given (or default) digit depth."""
-    d = encode(x, system.Q, depth if depth is not None else system.default_depth)
-    return evaluate(system, d)
+    """f(x) at the given (or default) digit depth, from the two codec walks.
+
+    ``codec.unwalk`` takes the digits of x under the weights and the same
+    summation as ``evaluate`` composes them under the ratios, with no
+    ``DigitString`` in between; the value and bound are those of
+    ``evaluate(system, encode(x, system.Q, depth))``, bit for bit.
+    """
+    Q, n = system.Q, depth if depth is not None else system.default_depth
+    digits, period = unwalk(x, Q.beta, Q.q, n, (Q.s - 1,))
+    return _sum(system, digits, period)
 
 
 def functional_equation_residual(
@@ -218,12 +241,16 @@ def functional_equation_residual(
     The left-hand point is represented exactly by prepending digit ``i`` to
     the digits of ``x`` (that is what the affinity map does to expansions),
     so the residual measures evaluation consistency, not input rounding.
+    One ``codec.unwalk`` gives the digits and both sides are summed as in
+    ``evaluate_at``; the residual equals that of ``evaluate`` on
+    ``encode(...)`` and its ``prepend(i)``, bit for bit.
     """
     if not 0 <= i < system.s:
         raise InvalidDigit(f"digit {i} outside alphabet of size {system.s}")
-    d = encode(x, system.Q, depth if depth is not None else system.default_depth)
-    lhs = evaluate(system, d.prepend(i)).value
-    tail = evaluate(system, d).value
+    Q, n = system.Q, depth if depth is not None else system.default_depth
+    digits, period = unwalk(x, Q.beta, Q.q, n, (Q.s - 1,))
+    lhs = _sum(system, (i, *digits), period).value
+    tail = _sum(system, digits, period).value
     return abs(lhs - system.G.delta[i] - system.G.g[i] * tail)
 
 
@@ -232,11 +259,15 @@ def variation_lower_bound(system: SelfAffineSystem, n: int) -> float:
 
     Summing |f(right) - f(left)| over all rank-n cylinders telescopes to this
     power; with any negative ratio the base exceeds 1 and the variation is
-    unbounded.
+    unbounded.  A power beyond the largest double raises ``ValidationError``.
     """
     if n < 1:
         raise ValidationError("rank must be at least 1")
-    return math.fsum(abs(v) for v in system.G.g) ** n
+    base = math.fsum(abs(v) for v in system.G.g)
+    try:
+        return base**n
+    except OverflowError:
+        raise ValidationError(f"(sum |g|)^{n} = {base!r}^{n} overflows a double") from None
 
 
 def _extreme_descent(

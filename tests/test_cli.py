@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import qsaffine
-from qsaffine import cli, extrema, selfaffine, svgplot
-from qsaffine.cli import EXIT_INTERNAL, MAX_DEPTH, _f, build_analysis, main
+from qsaffine import cli, extrema, holder, selfaffine, svgplot
+from qsaffine.cli import EXIT_INTERNAL, MAX_DEPTH, MAX_POINTS, _f, build_analysis, main
 from qsaffine.config import SystemConfig, load_config
 from qsaffine.errors import CertificationError
 from qsaffine.extrema import LEVEL_TOL, level_set
@@ -170,11 +170,15 @@ class TestExitCodes:
             # Outside the regime the depth is never used, but it is still checked.
             (["analyze", "--depth", "0"], "ValidationError", "identity"),
             (["analyze", "--depth", "-4"], "ValidationError", "identity"),
+            # (sum |g|)^5000 is far beyond the largest double.
+            (["variation", "--rank", "5000"], "ValidationError", "rough_s3"),
+            (["variation", "--rank", "5000"], "ValidationError", "cantor_max"),
         ],
         ids=[
             "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "nu-not-numbers",
             "nu-nan", "level-y-nan", "level-y-inf", "level-tolerance-inf", "sample-depth-0", "sample-depth-negative",
-            "analyze-depth-0", "analyze-depth-negative",
+            "analyze-depth-0", "analyze-depth-negative", "variation-overflow-rough",
+            "variation-overflow-cantor",
         ],
     )
     def test_bad_digit_string_is_2(self, capsys, argv, error, config):
@@ -196,6 +200,10 @@ class TestExitCodes:
         rc, _, err = run(capsys, "analyze", "--config", cfg("identity"), "--format", "csv")
         assert rc == 2
         assert json.loads(err)["error"] == "ValidationError"
+
+    def test_variation_of_monotone_system_at_large_rank(self, capsys):
+        rc, out, _ = run(capsys, "variation", "--config", cfg("identity"), "--rank", "5000")
+        assert (rc, out) == (0, "value 1\n")
 
     def test_too_few_points_is_2(self, capsys):
         rc, _, err = run(capsys, "sample", "--config", cfg("identity"), "--points", "1")
@@ -491,6 +499,35 @@ class TestDepthCap:
         assert rc == 0
         payload = json.loads(out)
         assert payload["residual"] <= payload["residual_bound"]
+
+    def test_ranks_outside_1_to_cap_is_2_before_any_walk(self, capsys, monkeypatch):
+        called = []
+        monkeypatch.setattr(
+            holder, "empirical_exponent",
+            lambda system, d, ranks: called.append(ranks) or holder.HolderReport(1.0, "empirical"),
+        )
+        argv = ["holder", "--config", cfg("cantor_max"), "--digits", "(1)"]
+        for ranks in (f"1:{MAX_DEPTH + 1}", f"{-MAX_DEPTH}:5"):
+            rc, out, err = run(capsys, *argv, f"--ranks={ranks}")
+            assert (rc, out, called) == (2, "", [])
+            diag = json.loads(err)
+            assert diag["error"] == "ValidationError" and "cap of 65536" in diag["message"]
+        rc, _, _ = run(capsys, *argv, "--ranks", f"1:{MAX_DEPTH}")
+        assert rc == 0 and called == [range(1, MAX_DEPTH + 1)]
+
+    def test_points_above_cap_is_2_before_the_walk(self, capsys, monkeypatch):
+        walked = []
+        monkeypatch.setattr(
+            selfaffine, "sample", lambda system, points, depth: walked.append(points) or []
+        )
+        argv = ["sample", "--config", cfg("level_sets"), "--format", "csv"]
+        rc, out, err = run(capsys, *argv, "--points", str(MAX_POINTS + 1))
+        assert (rc, out, walked) == (2, "", [])
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError" and f"cap of {MAX_POINTS}" in diag["message"]
+        for points in (4096, MAX_POINTS):  # 4096: the figures' point count
+            rc, _, _ = run(capsys, *argv, "--points", str(points))
+            assert rc == 0 and walked[-1] == points
 
 
 class TestParserCache:

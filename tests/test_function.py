@@ -1,5 +1,7 @@
 import math
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from qsaffine import (
     InvalidDigit,
     SelfAffineSystem,
     ValidationError,
+    cylinder_bounds,
+    encode,
     evaluate,
     evaluate_at,
     functional_equation_residual,
@@ -30,8 +34,11 @@ from helpers import (
     random_binary_point,
     random_exact_string,
 )
+from qsaffine.codec import unwalk
+from qsaffine.config import load_config
 
 ALL_SYSTEMS = (CANTOR_MAX, LEVEL_SETS, SINGULAR_S3, DEEP_MIN_S3, IDENTITY_S3)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @st.composite
@@ -164,6 +171,49 @@ class TestFunctionalEquation:
                     assert r <= max(2.0 * d_err, 5e-13)
 
 
+class TestCodecWalkPath:
+    """``evaluate_at`` and the residual against the ``encode`` -> ``DigitString`` path, bit for bit."""
+
+    # q sums to 1 - 1e-13, inside SUM_TOL: near the right end of a cylinder the residue
+    # clamps to 1 after trailing high digits, so unwalk closes ``..., 2`` with period (2,).
+    SHORT = SelfAffineSystem.from_values((0.3, 0.45, 0.25 - 1e-13), (0.6, 0.9, -0.5))
+
+    @staticmethod
+    def _old_at(system, x, depth):
+        return evaluate(system, encode(x, system.Q, depth if depth is not None else system.default_depth))
+
+    @staticmethod
+    def _old_residual(system, i, x, depth):
+        d = encode(x, system.Q, depth if depth is not None else system.default_depth)
+        lhs = evaluate(system, d.prepend(i)).value
+        return abs(lhs - system.G.delta[i] - system.G.g[i] * evaluate(system, d).value)
+
+    def test_same_bits_as_digit_string_path(self):
+        rng = np.random.default_rng(8)
+        bundled = [load_config(p).system() for p in sorted(CONFIG_DIR.glob("*.cfg"))]
+        randoms = [random_admissible_system(rng) for _ in range(12)]
+        high_closes = 0
+        for system in (*bundled, *randoms, self.SHORT):
+            s = system.s
+            xs = [0.0, 1.0, *system.Q.beta, *(float(v) for v in rng.random(8))]
+            for _ in range(8 if system is not self.SHORT else 40):
+                base = [int(v) for v in rng.integers(0, s, size=int(rng.integers(1, 6)))]
+                xs.append(math.nextafter(min(cylinder_bounds(base, system.Q)[1], 1.0), 0.0))
+            for x in xs:
+                for depth in (None, 1, 4):
+                    new = evaluate_at(system, x, depth)
+                    assert struct.pack("<dd", *new) == struct.pack("<dd", *self._old_at(system, x, depth))
+                    for i in range(s):
+                        new_r = functional_equation_residual(system, i, x, depth)
+                        old_r = self._old_residual(system, i, x, depth)
+                        assert struct.pack("<d", new_r) == struct.pack("<d", old_r), (x, depth, i)
+                    if system is self.SHORT:
+                        n = depth if depth is not None else system.default_depth
+                        digits, period = unwalk(x, system.Q.beta, system.Q.q, n, (s - 1,))
+                        high_closes += period == (s - 1,) and digits[-1:] == (s - 1,)
+        assert high_closes >= 10  # the closes that need the trailing-digit drop did occur
+
+
 class TestVariation:
     def test_monotone_case_is_one(self):
         for n in (1, 2, 7, 20):
@@ -188,6 +238,11 @@ class TestVariation:
     def test_rank_validated(self):
         with pytest.raises(ValidationError):
             variation_lower_bound(CANTOR_MAX, 0)
+
+    def test_overflow_is_validation_error(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            variation_lower_bound(CANTOR_MAX, 5000)
+        assert variation_lower_bound(IDENTITY_S3, 5000) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestGlobalBounds:
