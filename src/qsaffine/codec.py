@@ -13,9 +13,9 @@ as ``t -> offset_d + scale_d * t``: ``(beta, q)`` gives x, ``(delta, g)``
 gives f.  This module owns both walks: ``walk`` composes the maps into a
 value and ``unwalk`` descends greedily from a value back to digits;
 ``selfaffine`` and ``extrema`` reuse them.  Around them sit cylinder
-intervals, and the readers of a ``DigitString``'s one digit stream (heads,
-order, digit statistics, run lengths), with the bookkeeping for points that
-admit two expansions (a terminating one and its all-high twin).
+intervals, the heads and digit frequencies of a ``DigitString``, and the
+bookkeeping for points that admit two expansions (a terminating one and its
+all-high twin).
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, islice
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import (
-    AlphabetMismatch,
     InsufficientDepth,
     InvalidDigit,
     OutOfDomain,
@@ -148,15 +147,11 @@ class DigitString:
             )
         return self.period[(index - len(self.prefix)) % len(self.period)]
 
-    def _digits(self) -> Iterator[int]:
-        """The prefix, then the period forever; a truncated string stops after its prefix."""
-        return chain(self.prefix, cycle(self.period or ()))
-
     def head(self, n: int) -> tuple[int, ...]:
-        """First ``n`` digits."""
+        """First ``n`` digits: the prefix, then the period repeated."""
         if n < 0:
             raise ValidationError("digit count must be non-negative")
-        digits = tuple(islice(self._digits(), n))
+        digits = tuple(islice(chain(self.prefix, cycle(self.period or ())), n))
         if len(digits) < n:
             raise InsufficientDepth(
                 f"truncated string holds {len(self.prefix)} digits; {n} requested"
@@ -339,45 +334,6 @@ def twin_representation(d: DigitString) -> DigitString | None:
     return DigitString(d.prefix[:-1] + (last,), low if up else high, d.s)
 
 
-def _low_form(d: DigitString) -> DigitString:
-    twin = twin_representation(d)
-    return twin if d.is_high and twin is not None else d
-
-
-def compare(a: DigitString, b: DigitString) -> int:
-    """Order two digit strings as the points they represent: -1, 0 or 1.
-
-    Twin pairs are normalized to their low form first, so the two expansions
-    of the same point compare equal.  Exact strings are decided within
-    ``max(prefix lengths) + lcm(period lengths)`` digits; truncated strings
-    are decided as soon as the available digits differ and raise
-    ``InsufficientDepth`` otherwise.
-    """
-    if a.s != b.s:
-        raise AlphabetMismatch(f"alphabet sizes differ: {a.s} vs {b.s}")
-    a = _low_form(a)
-    b = _low_form(b)
-    if a.period is not None and b.period is not None:
-        horizon = (
-            max(len(a.prefix), len(b.prefix))
-            + math.lcm(len(a.period), len(b.period))
-            + 1
-        )
-    else:
-        horizon = max(
-            len(a.prefix) + (len(a.period) if a.period else 0),
-            len(b.prefix) + (len(b.period) if b.period else 0),
-        ) + 1
-    for da, db in zip(islice(a._digits(), horizon), islice(b._digits(), horizon)):
-        if da != db:
-            return -1 if da < db else 1
-    if a.period is None or b.period is None:
-        raise InsufficientDepth(
-            "truncated strings agree on all available digits; order undecidable"
-        )
-    return 0
-
-
 def cylinder_bounds(base, Q: StochasticVector) -> tuple[float, float, float]:
     """(left, right, length) of the cylinder of all points whose expansion starts with ``base``.
 
@@ -410,29 +366,3 @@ def digit_frequencies(d: DigitString, n: int | None = None) -> FrequencyVector:
         digits, exact = d.head(n), False
     return FrequencyVector(tuple(digits.count(i) / n for i in range(d.s)), n=n, exact=exact)
 
-
-def run_length(d: DigitString, i: int, n: int) -> int | float:
-    """Length of the run of digit ``i`` starting right after position ``n``.
-
-    Positions are 1-based, so ``n = 0`` inspects the run at the very start.
-    Returns ``math.inf`` when the digits are ``i`` forever (period ``(i,)``
-    reached), and raises ``InsufficientDepth`` when a truncated string runs
-    out of digits while still matching.
-    """
-    if not 0 <= i < d.s:
-        raise InvalidDigit(f"digit {i} outside alphabet of size {d.s}")
-    if n < 0:
-        raise ValidationError("position must be non-negative")
-    if d.period is not None and all(dig == i for dig in (*d.prefix[n:], *d.period)):
-        return math.inf
-    if d.period is not None and n > len(d.prefix):
-        # Past the prefix the digits repeat: skip whole periods, not digit by digit.
-        n = len(d.prefix) + (n - len(d.prefix)) % len(d.period)
-    t = 0
-    for dig in islice(d._digits(), n, None):
-        if dig != i:
-            return t
-        t += 1
-    raise InsufficientDepth(
-        f"run still open at the end of a truncated string (position {n + t})"
-    )

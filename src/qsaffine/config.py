@@ -49,11 +49,25 @@ class SystemConfig:
 
 
 def parse_number(token: str) -> float:
-    """Parse ``2/5``, ``0.4`` or ``-0.28`` to a double."""
+    """Parse ``2/5``, ``0.4``, ``-0.28`` or ``1.5e-3`` to a double.
+
+    ``Fraction`` builds ``10**exponent`` in full, so an exponent whose size
+    exceeds the token's length plus 400 is clamped to that first.  Past the
+    cap every mantissa the token spells is 0, above 1e400 (an overflow) or
+    below 1e-400 (a zero of its sign), so the clamp keeps the result.
+    """
+    text = token.strip()
     try:
-        return float(Fraction(token.strip()))
+        if "e" in text or "E" in text:
+            mantissa, _, exponent = text.replace("E", "e").rpartition("e")
+            cap = len(text) + 400
+            if exponent == exponent.strip() and abs(int(exponent)) > cap:
+                text = f"{mantissa}e{cap if int(exponent) > 0 else -cap}"
+        return float(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse number {token!r}") from exc
+    except OverflowError as exc:
+        raise ValidationError(f"number {token!r} overflows a double") from exc
 
 
 def _parse_array(value: str, key: str) -> tuple[str, ...]:
@@ -96,4 +110,8 @@ def parse_config_text(text: str, default_label: str = "system") -> SystemConfig:
 
 def load_config(path: str | Path) -> SystemConfig:
     path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), default_label=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    return parse_config_text(text, default_label=path.stem)

@@ -149,22 +149,16 @@ def closed_form_regime(system: SelfAffineSystem) -> int | None:
     """The distinguished negative digit ``k``, when the closed forms apply.
 
     Returns k when exactly one ratio is negative, all others are positive,
-    and ``delta_k > 1``; returns None otherwise.  In the regime k >= 2 is
-    automatic (an offset above 1 needs at least two positive ratios below 1
-    in front of it) and is asserted.
+    and ``delta_k > 1``; returns None otherwise.  A returned k is at least
+    2: ``running_sums`` makes ``delta_0 = 0.0`` and ``delta_1 = g_0``
+    exactly, and validation keeps ``|g_0| < 1``.
     """
     g, delta = system.G.g, system.G.delta
     negatives = [i for i, v in enumerate(g) if v < 0.0]
     if len(negatives) != 1:
         return None
     k = negatives[0]
-    if not delta[k] > 1.0:
-        return None
-    if k < 2:
-        raise CertificationError(
-            f"offset above 1 at digit {k} < 2 contradicts the ratio constraints"
-        )
-    return k
+    return k if delta[k] > 1.0 else None
 
 
 def _require_regime(system: SelfAffineSystem) -> int:

@@ -26,6 +26,17 @@ def _header(height: int) -> list[str]:
     ]
 
 
+def _title(label: str) -> str:
+    """The centred title line; the label is XML-escaped."""
+    # Imported here: only SVG output needs html, whose entity table is slow to import.
+    from html import escape
+
+    return (
+        f'<text x="{_fc(WIDTH / 2)}" y="{_fc(MARGIN - 16)}" font-size="14" '
+        f'text-anchor="middle" fill="#000000">{escape(label, quote=False)}</text>'
+    )
+
+
 def curve_svg(
     samples: list[tuple[float, float, float]], y_ticks: tuple[float, ...], label: str
 ) -> str:
@@ -71,10 +82,7 @@ def curve_svg(
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1b4f9c" stroke-width="1"/>'
     )
-    parts.append(
-        f'<text x="{_fc(WIDTH / 2)}" y="{_fc(MARGIN - 16)}" font-size="14" '
-        f'text-anchor="middle" fill="#000000">{label}</text>'
-    )
+    parts.append(_title(label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -92,9 +100,6 @@ def bands_svg(stages: list[list[tuple[float, float]]], label: str) -> str:
         rect = (f'<rect x="%.3f" y="{_fc(y + 4)}" width="%.3f" height="{ROW_HEIGHT - 12}" '
                 'fill="#1b4f9c"/>')
         parts += [rect % (MARGIN + lo * iw, max(hi - lo, 0.0) * iw) for lo, hi in intervals]
-    parts.append(
-        f'<text x="{_fc(WIDTH / 2)}" y="{_fc(MARGIN - 16)}" font-size="14" '
-        f'text-anchor="middle" fill="#000000">{label}</text>'
-    )
+    parts.append(_title(label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

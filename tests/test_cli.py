@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ def cfg(name):
 
 def write_config(tmp_path, text, name="sys.cfg"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(path)
 
 
@@ -220,10 +221,15 @@ class TestExitCodes:
             ("q: [1/2, half]\ng: [1/2, 1/2]\n", "cannot parse number 'half'"),
             ("label: no-g\nq: [1/2, 1/2]\n", "both q and g"),
             ("q: [1/3, 1/3, 1/3]\ng: [1/2, 1/2]\n", "equal length"),
+            ("q: [1e400, 1/2]\ng: [1/2, 1/2]\n", "number '1e400' overflows a double"),
+            # Fraction alone would build 10**999999999 before anything else ran.
+            ("q: [1e999999999, 1/2]\ng: [1/2, 1/2]\n", "overflows a double"),
+            (b"label: \xff\nq: [1/2, 1/2]\ng: [1/2, 1/2]\n", "is not UTF-8"),
         ],
         ids=[
             "duplicate-key", "unknown-key", "line-without-colon", "unbracketed-array",
             "empty-array", "unparsable-token", "missing-g", "length-mismatch",
+            "overflowing-token", "huge-exponent", "non-utf8-bytes",
         ],
     )
     def test_config_grammar_error_is_2(self, capsys, tmp_path, text, message):
@@ -467,6 +473,26 @@ class TestCantorOutputs:
         assert diag["error"] == "ValidationError" and "intervals" in diag["message"]
         rc, _, _ = run(capsys, "cantor", "--config", cfg("cantor_max"), "--steps", "19")
         assert rc == 0 and built == [19]
+
+
+class TestSvgLabels:
+    LABEL = 'a & b <c> "d"'
+
+    @staticmethod
+    def title(svg: str) -> str:
+        return ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}text")[-1].text
+
+    def test_emitters_escape_the_label(self):
+        assert self.title(svgplot.curve_svg([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], (0.0, 1.0), self.LABEL)) == self.LABEL
+        assert self.title(svgplot.bands_svg([[(0.0, 1.0)]], self.LABEL)) == self.LABEL
+
+    @pytest.mark.parametrize("argv", [["sample", "--points", "64"], ["cantor", "--steps", "3"]])
+    def test_commands_write_parsable_files(self, capsys, tmp_path, argv):
+        config = write_config(tmp_path, f"label: {self.LABEL}\nq: [1/5, 2/5, 1/5, 1/5]\ng: [2/5, 4/5, 2/5, -3/5]\n")
+        out_path = tmp_path / "figure.svg"
+        rc, _, _ = run(capsys, *argv, "--config", config, "--format", "svg", "--out", str(out_path))
+        assert rc == 0
+        assert self.title(out_path.read_text(encoding="utf-8")).startswith(self.LABEL + ": ")
 
 
 class TestDepthCap:

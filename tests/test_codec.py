@@ -2,22 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from qsaffine import (
-    AlphabetMismatch,
     DigitString,
     InsufficientDepth,
     InvalidDigit,
     OutOfDomain,
     StochasticVector,
     ValidationError,
-    compare,
     cylinder_bounds,
     decode,
     digit_frequencies,
     encode,
-    run_length,
     twin_representation,
 )
 
@@ -39,13 +36,6 @@ def terminating_strings(draw, s):
     digits = draw(st.lists(st.integers(0, s - 1), min_size=0, max_size=10))
     digits.append(draw(st.integers(1, s - 1)))
     return DigitString(tuple(digits), (0,), s)
-
-
-@st.composite
-def exact_strings(draw, s):
-    prefix = draw(st.lists(st.integers(0, s - 1), min_size=0, max_size=6))
-    period = draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=4))
-    return DigitString(tuple(prefix), tuple(period), s)
 
 
 @st.composite
@@ -203,42 +193,6 @@ class TestTwins:
         assert twin_representation(t) == d
 
 
-class TestCompare:
-    def test_lexicographic(self):
-        a = DigitString((0,), (1,), 3)
-        b = DigitString((1,), (0, 1), 3)
-        assert compare(a, b) == -1
-        assert compare(b, a) == 1
-        assert compare(a, a) == 0
-
-    def test_twin_pair_compares_equal(self):
-        d = DigitString((2,), (0,), 3)
-        assert compare(d, twin_representation(d)) == 0
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(AlphabetMismatch):
-            compare(DigitString((), (0,), 2), DigitString((), (0,), 3))
-
-    def test_truncated_decidable_only_on_disagreement(self):
-        a = DigitString((0, 1), None, 3)
-        b = DigitString((0, 2), None, 3)
-        assert compare(a, b) == -1
-        with pytest.raises(InsufficientDepth):
-            compare(a, DigitString((0, 1), None, 3))
-
-    @given(Q=weight_vectors(), data=st.data())
-    def test_order_agrees_with_decoded_values(self, Q, data):
-        a = data.draw(exact_strings(Q.s))
-        b = data.draw(exact_strings(Q.s))
-        xa, xb = decode(a, Q), decode(b, Q)
-        c = compare(a, b)
-        if c == 0:
-            assert abs(xa - xb) <= 1e-12
-        else:
-            assume(abs(xa - xb) > 1e-12)  # below that floating point cannot resolve
-            assert (xa < xb) == (c == -1)
-
-
 class TestCylinders:
     def test_rank_zero_is_unit_interval(self):
         assert cylinder_bounds((), Q4) == (0.0, 1.0, 1.0)
@@ -299,32 +253,9 @@ class TestFrequencies:
             digit_frequencies(DigitString((0, 1), None, 2))
 
 
-class TestRunLength:
-    def test_run_after_position(self):
-        d = DigitString((1, 0, 0, 2), None, 3)
-        assert run_length(d, 0, 1) == 2
-
-    def test_zero_run(self):
-        assert run_length(DigitString((), (1,), 3), 0, 5) == 0
-
-    def test_infinite_run(self):
-        assert run_length(DigitString((), (0,), 3), 0, 7) == math.inf
-        assert run_length(DigitString((2, 1), (0,), 3), 0, 2) == math.inf
-
-    def test_period_phase(self):
-        d = DigitString((), (0, 0, 1), 3)
-        assert run_length(d, 0, 0) == 2
-        assert run_length(d, 0, 3) == 2
-        assert run_length(d, 0, 4) == 1
-
-    def test_truncated_open_run(self):
-        with pytest.raises(InsufficientDepth):
-            run_length(DigitString((1, 0, 0), None, 3), 0, 1)
-
-
 class TestDigitReaders:
     # 24 digits cover a prefix of at most 6 digits and every phase of a period
-    # of at most 4, read from any start position up to 12.
+    # of at most 4, for every head of up to 12 digits.
     @given(drawn=any_strings())
     def test_readers_match_expanded_reference(self, drawn):
         d, prefix, period = drawn
@@ -352,16 +283,3 @@ class TestDigitReaders:
             if 1 <= n <= len(ref):
                 nu = tuple(ref[:n].count(j) / n for j in range(d.s))
                 assert digit_frequencies(d, n).nu == nu
-
-            for i in range(d.s):
-                run = 0
-                while n + run < len(ref) and ref[n + run] == i:
-                    run += 1
-                if period is not None and all(dig == i for dig in prefix[n:] + period):
-                    assert run_length(d, i, n) == math.inf
-                elif n + run < len(ref):
-                    assert run_length(d, i, n) == run
-                else:
-                    assert period is None
-                    with pytest.raises(InsufficientDepth):
-                        run_length(d, i, n)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.optimize import brentq
 
 from qsaffine import (
@@ -86,6 +86,21 @@ class TestRegime:
         assert closed_form_regime(IDENTITY_S3) is None
         # one negative ratio but its offset stays below 1
         assert closed_form_regime(LEVEL_SETS) is None
+
+    @given(
+        s=st.integers(3, 7),
+        sign=st.sampled_from((1.0, -1.0)),
+        eps=st.floats(2.0**-53, 2.0**-10),
+        g1=st.floats(-0.99, 0.99).filter(lambda v: abs(v) > 1e-3),
+    )
+    def test_digit_is_at_least_two_with_g0_near_one(self, s, sign, eps, g1):
+        # delta_1 = g_0 stays below 1 however close |g_0| comes to it.
+        g0 = sign * (1.0 - eps)
+        rest = (1.0 - g0 - g1) / (s - 2)
+        assume(1e-3 < abs(rest) < 1.0)
+        system = make_system((1.0 / s,) * s, (g0, g1) + (rest,) * (s - 2))
+        k = closed_form_regime(system)
+        assert k is None or 2 <= k < s
 
 
 class TestClosedForms:
