@@ -11,8 +11,9 @@ sequence ``a_1 a_2 ...`` sums to
 The self-affine function is the same construction, with digit ``d`` acting
 as ``t -> offset_d + scale_d * t``: ``(beta, q)`` gives x, ``(delta, g)``
 gives f.  This module owns both walks: ``walk`` composes the maps into a
-value and ``unwalk`` descends greedily from a value back to digits;
-``selfaffine`` and ``extrema`` reuse them.  Around them sit cylinder
+value and ``unwalk`` descends greedily from a value back to digits
+(``unwalk_value`` joins the two for one value); ``selfaffine`` and
+``extrema`` reuse them.  Around them sit cylinder
 intervals, the heads and digit frequencies of a ``DigitString``, and the
 bookkeeping for points that admit two expansions (a terminating one and its
 all-high twin).
@@ -245,11 +246,7 @@ def unwalk(t: float, offsets, scales, depth: int, top: tuple[int, ...] | None):
     period ``(0,)``, one of exactly 1 with ``top`` when given; after
     ``depth`` digits the period is None (truncated).
     """
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
-    t = float(t)
-    if math.isnan(t) or t < 0.0 or t > 1.0:
-        raise OutOfDomain(f"value {t!r} outside [0, 1]")
+    t = _descent_start(t, depth)
     digits: list[int] = []
     for _ in range(depth):
         if t == 0.0:
@@ -264,6 +261,41 @@ def unwalk(t: float, offsets, scales, depth: int, top: tuple[int, ...] | None):
         elif t > 1.0:
             t = 1.0
     return tuple(digits), None
+
+
+def unwalk_value(t: float, offsets, scales, depth: int) -> float:
+    """The value ``walk`` gives the greedy digits of ``t``, with no digits kept.
+
+    One descent that takes the digits of ``unwalk(t, offsets, scales, depth,
+    None)`` and composes their maps as it goes, so it equals
+    ``walk(unwalk(t, offsets, scales, depth, None)[0], offsets, scales)[0]``
+    bit for bit: the same digits, and the same float operations in the same
+    order.
+    """
+    t = _descent_start(t, depth)
+    acc, prod = 0.0, 1.0
+    for _ in range(depth):
+        if t == 0.0:
+            break
+        d = bisect_right(offsets, t) - 1
+        offset = offsets[d]
+        acc += offset * prod
+        prod *= scales[d]
+        t = (t - offset) / scales[d]
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+    return acc
+
+
+def _descent_start(t: float, depth: int) -> float:
+    if depth < 1:
+        raise ValidationError("depth must be at least 1")
+    t = float(t)
+    if math.isnan(t) or t < 0.0 or t > 1.0:
+        raise OutOfDomain(f"value {t!r} outside [0, 1]")
+    return t
 
 
 def periodic_tail_value(

@@ -9,40 +9,51 @@ Grammar (UTF-8 text, one entry per line, ``#`` starts a comment):
 ``q`` and ``g`` are bracketed arrays of the same length (>= 2) whose entries
 are exact rationals (``2/5``) or decimals (``-0.28``).  Rationals are parsed
 to doubles at read time; the original spellings are kept for echoing in
-reports.  ``label`` is optional and defaults to the file stem.
+reports.  ``label`` is optional and defaults to the file stem; it may hold
+a tab but no other C0 control character, nor U+FFFE or U+FFFF, since XML
+(the SVG titles) cannot hold them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ValidationError
 from .selfaffine import SelfAffineSystem
 
+_LABEL_FORBIDDEN = re.compile("[\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
+    """The spellings of q and g, parsed once to the doubles ``q`` and ``g``.
+
+    Construction parses every token (q first, then g) and then checks the
+    lengths and the label, so a bad token raises ``ValidationError`` here,
+    not at ``system()``; ``system()`` parses nothing.
+    """
+
     q_text: tuple[str, ...]
     g_text: tuple[str, ...]
     label: str
+    q: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    g: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", tuple(parse_number(t) for t in self.q_text))
+        object.__setattr__(self, "g", tuple(parse_number(t) for t in self.g_text))
         if len(self.q_text) != len(self.g_text):
             raise ValidationError(
                 f"q and g must have equal length; got {len(self.q_text)} and {len(self.g_text)}"
             )
         if len(self.q_text) < 2:
             raise ValidationError("at least 2 entries required in q and g")
-
-    @property
-    def q(self) -> tuple[float, ...]:
-        return tuple(parse_number(t) for t in self.q_text)
-
-    @property
-    def g(self) -> tuple[float, ...]:
-        return tuple(parse_number(t) for t in self.g_text)
+        bad = _LABEL_FORBIDDEN.search(self.label)
+        if bad:
+            raise ValidationError(f"label must not contain the character U+{ord(bad.group()):04X}")
 
     def system(self) -> SelfAffineSystem:
         return SelfAffineSystem.from_values(self.q, self.g)
@@ -77,10 +88,7 @@ def _parse_array(value: str, key: str) -> tuple[str, ...]:
     body = value[1:-1].strip()
     if not body:
         raise ValidationError(f"{key} must not be empty")
-    items = tuple(tok.strip() for tok in body.split(","))
-    for tok in items:
-        parse_number(tok)  # fail early with a named token
-    return items
+    return tuple(tok.strip() for tok in body.split(","))
 
 
 def parse_config_text(text: str, default_label: str = "system") -> SystemConfig:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codec import DigitString, StochasticVector, twin_representation, unwalk, walk
+from .codec import DigitString, StochasticVector, twin_representation, unwalk, unwalk_value
 from .errors import (
     CertificationError,
     ConditionsNotMet,
@@ -374,9 +374,11 @@ def non_invariance_certificate(
     exceeds the guaranteed bound raises ``CertificationError``.  Target j
     draws from its own seeded generator, so the batch is order-independent;
     the targets depend on ``(seed, samples)`` only and are drawn once.  Each
-    witness is the ``preimage_digits`` walk, and its value is the forward
-    ``walk`` of those digits: a zero tail adds nothing, so this equals
-    ``evaluate`` of the witness up to the sign of a zero.
+    witness value is ``codec.unwalk_value`` over the first k offsets: the
+    forward ``walk`` of the ``preimage_digits`` digits (all below k, so
+    ``delta[:k]`` indexes them as ``delta`` does), read off the descent
+    itself.  A zero tail adds nothing, so this equals ``evaluate`` of the
+    witness up to the sign of a zero.
     """
     k = _require_regime(system)
     if samples < 0:
@@ -386,11 +388,10 @@ def non_invariance_certificate(
     if not dim < 1.0:
         raise CertificationError("restricted digit set must have dimension below 1")
     bound = preimage_residual_bound(system, depth)
-    delta, g = system.G.delta, system.G.g
+    offsets, g = system.G.delta[:k], system.G.g
     max_residual: float | None = None
     for y in _targets(seed, samples):
-        digits, _ = unwalk(y, delta[:k], g, depth, None)
-        residual = abs(walk(digits, delta, g)[0] - y)
+        residual = abs(unwalk_value(y, offsets, g, depth) - y)
         if residual > bound:
             raise CertificationError(
                 f"witness residual {residual!r} exceeds the guaranteed bound {bound!r}"

@@ -20,7 +20,6 @@ from helpers import (
     DEEP_MIN_S3,
     FIGURE_CONFIGS,
     LEVEL_SETS,
-    ROUGH_S3,
     SINGULAR_S3,
     random_admissible_system,
     random_binary_point,

@@ -225,11 +225,13 @@ class TestExitCodes:
             # Fraction alone would build 10**999999999 before anything else ran.
             ("q: [1e999999999, 1/2]\ng: [1/2, 1/2]\n", "overflows a double"),
             (b"label: \xff\nq: [1/2, 1/2]\ng: [1/2, 1/2]\n", "is not UTF-8"),
+            # XML 1.0 cannot hold U+0001, so the SVG title would not parse.
+            ("label: a\x01b\nq: [1/2, 1/2]\ng: [1/2, 1/2]\n", "U+0001"),
         ],
         ids=[
             "duplicate-key", "unknown-key", "line-without-colon", "unbracketed-array",
             "empty-array", "unparsable-token", "missing-g", "length-mismatch",
-            "overflowing-token", "huge-exponent", "non-utf8-bytes",
+            "overflowing-token", "huge-exponent", "non-utf8-bytes", "control-character-label",
         ],
     )
     def test_config_grammar_error_is_2(self, capsys, tmp_path, text, message):
@@ -493,6 +495,42 @@ class TestSvgLabels:
         rc, _, _ = run(capsys, *argv, "--config", config, "--format", "svg", "--out", str(out_path))
         assert rc == 0
         assert self.title(out_path.read_text(encoding="utf-8")).startswith(self.LABEL + ": ")
+
+    def test_control_character_in_file_stem_label_is_2(self, capsys, tmp_path):
+        config = write_config(tmp_path, "q: [1/2, 1/2]\ng: [1/2, 1/2]\n", name="a\x1fb.cfg")
+        rc, out, err = run(capsys, "cantor", "--config", config, "--steps", "2", "--format", "svg")
+        assert (rc, out) == (2, "")
+        assert "U+001F" in json.loads(err)["message"]
+
+    def test_tab_in_label_writes_parsable_svg(self, capsys, tmp_path):
+        config = write_config(tmp_path, "label: a\tb\nq: [1/5, 2/5, 1/5, 1/5]\ng: [2/5, 4/5, 2/5, -3/5]\n")
+        rc, out, _ = run(capsys, "cantor", "--config", config, "--steps", "2", "--format", "svg")
+        assert rc == 0
+        assert self.title(out).startswith("a\tb: ")
+
+
+class TestConfigParsing:
+    def test_each_token_parsed_once_per_load(self, capsys, monkeypatch, tmp_path):
+        parsed = []
+        original = qsaffine.config.parse_number
+        monkeypatch.setattr(qsaffine.config, "parse_number", lambda token: parsed.append(token) or original(token))
+        for path in sorted(CONFIG_DIR.glob("*.cfg")):
+            loaded = load_config(path)
+            tokens = [*loaded.q_text, *loaded.g_text]
+            assert parsed == tokens
+            parsed.clear()
+            # analyze loads the config once more and builds its system from the stored doubles.
+            rc, _, _ = run(capsys, "analyze", "--config", str(path), "--format", "json")
+            assert rc == 0 and parsed == tokens
+            parsed.clear()
+        # q is parsed before g, and both before the lengths are compared.
+        for text, token in [
+            ("q: [1/3, 1/3, 1/3]\ng: [1/2, half]\n", "half"),
+            ("q: [1/3, third, 1/3]\ng: [1/2, half]\n", "third"),
+        ]:
+            rc, out, err = run(capsys, "level", "--config", write_config(tmp_path, text), "--y", "0.5")
+            assert (rc, out) == (2, "")
+            assert json.loads(err)["message"] == f"cannot parse number {token!r}"
 
 
 class TestDepthCap:

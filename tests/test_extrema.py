@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 import sys
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from scipy.optimize import brentq
 
 from qsaffine import (
     CantorSpec,
-    CertificationError,
     ConditionsNotMet,
     DigitString,
     NonInvarianceReport,
@@ -33,7 +33,7 @@ from qsaffine import (
     preimage_digits,
     preimage_residual_bound,
 )
-from qsaffine.codec import unwalk, walk
+from qsaffine.codec import unwalk, unwalk_value, walk
 from qsaffine.config import load_config
 from helpers import (
     CANTOR_MAX,
@@ -414,6 +414,20 @@ class TestNonInvariance:
         for t in (y, 0.0, 1.0, *(d for d in delta[:k] if d <= 1.0)):
             digits, _ = unwalk(t, delta[:k], g, depth, None)
             assert all(d < k for d in digits)
+
+    @given(seed=st.integers(0, 2**32 - 1), y=st.floats(0.0, 1.0), depth=st.sampled_from((1, 16, 64, 200)))
+    def test_joined_descent_matches_unwalk_then_walk(self, seed, y, depth):
+        # The certificate reads each witness value off one descent; it must be
+        # the forward walk of the greedy digits, bit for bit.  With the regime
+        # ratios the residue never leaves [0, 1]; the shrunk ratios leave gaps
+        # between the maps, so there the clamp of both descents acts.
+        system, k = random_regime_system(np.random.default_rng(seed))
+        offsets = system.G.delta[:k]
+        for g in (system.G.g, tuple(0.75 * v for v in system.G.g)):
+            for t in (y, 0.0, 1.0, *(d for d in system.G.delta if 0.0 <= d <= 1.0)):
+                digits, _ = unwalk(t, offsets, g, depth, None)
+                expected = walk(digits, offsets, g)[0]
+                assert struct.pack("<d", unwalk_value(t, offsets, g, depth)) == struct.pack("<d", expected)
 
     def test_depth_below_one_rejected(self):
         with pytest.raises(ValidationError, match="depth must be at least 1"):

@@ -31,8 +31,6 @@ from helpers import (
     SINGULAR_S3,
     exact_hull_bounds,
     random_admissible_system,
-    random_binary_point,
-    random_exact_string,
 )
 from qsaffine.codec import unwalk
 from qsaffine.config import load_config
