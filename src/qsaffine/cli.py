@@ -105,7 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     dp = command("decode", _cmd_decode, TEXT, "point of a digit string")
     dp.add_argument("--digits", required=True, help='e.g. "1,3,(0,2)"')
 
-    vp = command("eval", _cmd_eval, TEXT, "evaluate f (--depth applies to --x only)", depth)
+    vp = command(
+        "eval", _cmd_eval, TEXT,
+        f"evaluate f; --x walks digits until the bound reaches {selfaffine.DEPTH_TARGET:g},"
+        " or exactly --depth (--x only)",
+        depth,
+    )
     group = vp.add_mutually_exclusive_group(required=True)
     group.add_argument("--digits", help='e.g. "(2)"')
     group.add_argument("--x", type=float)

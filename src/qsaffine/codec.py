@@ -12,11 +12,11 @@ The self-affine function is the same construction, with digit ``d`` acting
 as ``t -> offset_d + scale_d * t``: ``(beta, q)`` gives x, ``(delta, g)``
 gives f.  This module owns both walks: ``walk`` composes the maps into a
 value and ``unwalk`` descends greedily from a value back to digits
-(``unwalk_value`` joins the two for one value); ``selfaffine`` and
-``extrema`` reuse them.  Around them sit cylinder
-intervals, the heads and digit frequencies of a ``DigitString``, and the
-bookkeeping for points that admit two expansions (a terminating one and its
-all-high twin).
+(``unwalk_value`` joins the two for one map pair, ``unwalk_into`` for the
+digits of x composed under f's maps); ``selfaffine`` and ``extrema`` reuse
+them.  Around them sit cylinder intervals, the heads and digit frequencies
+of a ``DigitString``, and the bookkeeping for points that admit two
+expansions (a terminating one and its all-high twin).
 """
 
 from __future__ import annotations
@@ -287,6 +287,45 @@ def unwalk_value(t: float, offsets, scales, depth: int) -> float:
         elif t > 1.0:
             t = 1.0
     return acc
+
+
+def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: float):
+    """Compose, under ``(values, ratios)``, the greedy digits of ``t`` under ``(offsets, scales)``.
+
+    One descent: each step takes a digit of ``t`` as ``unwalk`` does (top
+    period ``(s-1,)``) and composes its map ``u -> values[d] + ratios[d] * u``
+    in the same step.  It walks at most ``depth`` digits and stops early,
+    before the next digit, once ``|prod| <= stop`` (a negative ``stop``
+    never fires).  Returns ``(acc, prod, n)``: the composed value, the scale
+    left on the unknown tail and the digits walked.  A close is exact and
+    leaves ``prod = 0.0``: a residue of 0 keeps ``acc`` (the ``(0,)`` tail
+    adds a signed zero) and one of 1 gives ``acc_r + prod_r``, the state
+    before the trailing run of high digits with the all-high tail, which is
+    worth 1.  So ``(acc, prod)`` are the bits ``selfaffine.evaluate`` gives
+    ``encode(t, ..., n)``, with ``prod`` times the span as its bound.
+    """
+    t = _descent_start(t, depth)
+    hi = len(offsets) - 1
+    acc, prod = 0.0, 1.0
+    acc_r, prod_r = acc, prod  # the state before the trailing run of hi digits
+    for n in range(depth):
+        if t == 0.0:
+            return acc, 0.0, n
+        if t == 1.0:
+            return acc_r + prod_r, 0.0, n
+        if abs(prod) <= stop:
+            return acc, prod, n
+        d = bisect_right(offsets, t) - 1
+        acc += values[d] * prod
+        prod *= ratios[d]
+        t = (t - offsets[d]) / scales[d]
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        if d != hi:
+            acc_r, prod_r = acc, prod
+    return acc, prod, depth
 
 
 def _descent_start(t: float, depth: int) -> float:

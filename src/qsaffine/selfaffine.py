@@ -14,6 +14,10 @@ nowhere monotonic, or nowhere differentiable.
 Evaluation mirrors the codec: periodic tails are summed in closed form
 (exact), truncated strings return the partial sum together with a certified
 error bound ``(M - m) * prod |g_{a_j}|`` built from the global bounds below.
+At a float x, ``evaluate_at`` walks the digits of x only until that bound
+reaches ``DEPTH_TARGET`` (at most ``default_depth`` digits).  There the
+bound covers the truncation of the digits the float descent produced, not
+the digits it loses to rounding.
 """
 
 from __future__ import annotations
@@ -25,14 +29,15 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .codec import (
-    DigitString, StochasticVector, check_alphabet, periodic_tail_value, running_sums, unwalk, walk,
+    DigitString, StochasticVector, check_alphabet, periodic_tail_value, running_sums, unwalk,
+    unwalk_into, walk,
 )
 from .errors import CertificationError, InvalidDigit, ValidationError
 
 #: Double-precision epsilon, the unit of the rounding allowances.
 EPS = sys.float_info.epsilon
 
-#: Default truncation accuracy target and hard digit cap for eval-at-a-point.
+#: Truncation accuracy target of ``evaluate_at`` and hard cap on ``default_depth``.
 DEPTH_TARGET = 1e-12
 DEPTH_CAP = 4096
 
@@ -103,7 +108,11 @@ class SelfAffineSystem:
 
     @cached_property
     def default_depth(self) -> int:
-        """Smallest digit count with (max|g|)^n * (M-m) below the accuracy target."""
+        """The most digits ``evaluate_at`` walks; ``encode`` and the residual walk this many.
+
+        The smallest digit count with ``(max|g|)^n * (M-m)`` below
+        ``DEPTH_TARGET``, so that every digit string meets the target.
+        """
         gmax = max(abs(v) for v in self.G.g)
         span = self.bounds.span
         n = math.ceil(math.log(DEPTH_TARGET / span) / math.log(gmax))
@@ -221,16 +230,26 @@ def evaluate(system: SelfAffineSystem, d: DigitString) -> Evaluation:
 
 
 def evaluate_at(system: SelfAffineSystem, x: float, depth: int | None = None) -> Evaluation:
-    """f(x) at the given (or default) digit depth, from the two codec walks.
+    """f(x) from one descent over the digits of x, with a truncation bound.
 
-    ``codec.unwalk`` takes the digits of x under the weights and the same
-    summation as ``evaluate`` composes them under the ratios, with no
-    ``DigitString`` in between; the value and bound are those of
-    ``evaluate(system, encode(x, system.Q, depth))``, bit for bit.
+    ``codec.unwalk_into`` takes each digit of x under the weights and
+    composes its ratio map in the same step.  With ``depth=None`` the walk
+    stops as soon as the bound ``(M - m) * |prod g|`` reaches
+    ``DEPTH_TARGET``, and after ``default_depth`` digits at the latest; an
+    explicit ``depth`` walks exactly that many.  Either way the value and
+    bound are those of ``evaluate(system, encode(x, system.Q, n))``, bit for
+    bit, for the ``n`` digits walked, and a residue that closes exactly has
+    bound 0.  The bound covers the truncation of the digits the float
+    descent produced; it does not cover the digits that descent loses to
+    rounding, so at a float x it is not yet a certified bound (ROADMAP item 1).
     """
-    Q, n = system.Q, depth if depth is not None else system.default_depth
-    digits, period = unwalk(x, Q.beta, Q.q, n, (Q.s - 1,))
-    return _sum(system, digits, period)
+    Q, G, span = system.Q, system.G, system.bounds.span
+    if depth is None:
+        depth, stop = system.default_depth, DEPTH_TARGET / span
+    else:
+        stop = -1.0
+    acc, prod, _ = unwalk_into(x, Q.beta, Q.q, G.delta, G.g, depth, stop)
+    return Evaluation(acc, span * abs(prod))
 
 
 def functional_equation_residual(
@@ -241,9 +260,10 @@ def functional_equation_residual(
     The left-hand point is represented exactly by prepending digit ``i`` to
     the digits of ``x`` (that is what the affinity map does to expansions),
     so the residual measures evaluation consistency, not input rounding.
-    One ``codec.unwalk`` gives the digits and both sides are summed as in
-    ``evaluate_at``; the residual equals that of ``evaluate`` on
-    ``encode(...)`` and its ``prepend(i)``, bit for bit.
+    One ``codec.unwalk`` gives ``depth`` (default ``default_depth``) digits
+    and both sides are summed as ``evaluate`` sums them; the residual equals
+    that of ``evaluate`` on ``encode(...)`` and its ``prepend(i)``, bit for
+    bit.
     """
     if not 0 <= i < system.s:
         raise InvalidDigit(f"digit {i} outside alphabet of size {system.s}")

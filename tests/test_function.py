@@ -32,8 +32,9 @@ from helpers import (
     exact_hull_bounds,
     random_admissible_system,
 )
-from qsaffine.codec import unwalk
+from qsaffine.codec import unwalk, unwalk_into
 from qsaffine.config import load_config
+from qsaffine.selfaffine import DEPTH_TARGET, EPS
 
 ALL_SYSTEMS = (CANTOR_MAX, LEVEL_SETS, SINGULAR_S3, DEEP_MIN_S3, IDENTITY_S3)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -162,7 +163,8 @@ class TestFunctionalEquation:
         for _ in range(10):
             system = random_admissible_system(rng)
             for x in rng.random(5):
-                d_err = evaluate_at(system, float(x)).error_bound
+                # the residual walks default_depth digits, so take the bound at that depth too
+                d_err = evaluate_at(system, float(x), system.default_depth).error_bound
                 for i in range(system.s):
                     r = functional_equation_residual(system, i, float(x))
                     # exact-terminating encodes have bound 0; leave rounding room
@@ -177,8 +179,18 @@ class TestCodecWalkPath:
     SHORT = SelfAffineSystem.from_values((0.3, 0.45, 0.25 - 1e-13), (0.6, 0.9, -0.5))
 
     @staticmethod
-    def _old_at(system, x, depth):
-        return evaluate(system, encode(x, system.Q, depth if depth is not None else system.default_depth))
+    def _stop_count(system, x):
+        """Digits ``evaluate_at(system, x)`` walks: the first n with
+        ``|prod g| <= DEPTH_TARGET / span``, or the close, or ``default_depth``."""
+        Q, cap = system.Q, system.default_depth
+        digits, _ = unwalk(x, Q.beta, Q.q, cap, (Q.s - 1,))
+        stop = DEPTH_TARGET / system.bounds.span
+        prod = 1.0
+        for n, d in enumerate(digits):
+            if abs(prod) <= stop:
+                return n
+            prod *= system.G.g[d]
+        return cap  # a close (encode at the cap closes at the same digit) or the cap itself
 
     @staticmethod
     def _old_residual(system, i, x, depth):
@@ -190,7 +202,7 @@ class TestCodecWalkPath:
         rng = np.random.default_rng(8)
         bundled = [load_config(p).system() for p in sorted(CONFIG_DIR.glob("*.cfg"))]
         randoms = [random_admissible_system(rng) for _ in range(12)]
-        high_closes = 0
+        high_closes = early_stops = 0
         for system in (*bundled, *randoms, self.SHORT):
             s = system.s
             xs = [0.0, 1.0, *system.Q.beta, *(float(v) for v in rng.random(8))]
@@ -198,18 +210,80 @@ class TestCodecWalkPath:
                 base = [int(v) for v in rng.integers(0, s, size=int(rng.integers(1, 6)))]
                 xs.append(math.nextafter(min(cylinder_bounds(base, system.Q)[1], 1.0), 0.0))
             for x in xs:
-                for depth in (None, 1, 4):
+                for depth in (None, 1, 4, system.default_depth):
+                    n = depth if depth is not None else self._stop_count(system, x)
+                    early_stops += depth is None and n < system.default_depth
                     new = evaluate_at(system, x, depth)
-                    assert struct.pack("<dd", *new) == struct.pack("<dd", *self._old_at(system, x, depth))
+                    old = evaluate(system, encode(x, system.Q, n))
+                    assert struct.pack("<dd", *new) == struct.pack("<dd", *old), (x, depth)
                     for i in range(s):
                         new_r = functional_equation_residual(system, i, x, depth)
                         old_r = self._old_residual(system, i, x, depth)
                         assert struct.pack("<d", new_r) == struct.pack("<d", old_r), (x, depth, i)
                     if system is self.SHORT:
-                        n = depth if depth is not None else system.default_depth
                         digits, period = unwalk(x, system.Q.beta, system.Q.q, n, (s - 1,))
                         high_closes += period == (s - 1,) and digits[-1:] == (s - 1,)
         assert high_closes >= 10  # the closes that need the trailing-digit drop did occur
+        assert early_stops >= 250  # and so did stops before the cap
+
+
+class TestAdaptiveStop:
+    """``evaluate_at`` at ``depth=None`` stops once its truncation bound meets ``DEPTH_TARGET``."""
+
+    @staticmethod
+    def _systems():
+        rng = np.random.default_rng(13)
+        bundled = [load_config(p).system() for p in sorted(CONFIG_DIR.glob("*.cfg"))]
+        return rng, (*bundled, *(random_admissible_system(rng, g_abs_max=0.9) for _ in range(16)))
+
+    def test_digits_at_most_default_depth_and_bound_meets_target(self):
+        rng, systems = self._systems()
+        early = 0
+        for system in systems:
+            Q, G, span, cap = system.Q, system.G, system.bounds.span, system.default_depth
+            for x in rng.random(24):
+                stop = DEPTH_TARGET / span
+                acc, prod, n = unwalk_into(float(x), Q.beta, Q.q, G.delta, G.g, cap, stop)
+                value, bound = evaluate_at(system, float(x))
+                assert (value, bound) == (acc, span * abs(prod))
+                assert n <= cap
+                if prod != 0.0 and n < cap:  # truncated before the cap: stopped early
+                    early += 1
+                    assert 0.0 < bound < DEPTH_TARGET
+        assert early >= 500
+
+    def test_within_its_bound_of_the_full_depth_value(self):
+        rng, systems = self._systems()
+        for system in systems:
+            b = system.bounds
+            # f's range [m, M] holds 0 and 1, so max(|m|, |M|) <= M - m: the dropped digits
+            # move the value by at most span * |prod g|, the adaptive bound.
+            assert max(abs(b.m), abs(b.M)) <= b.span
+            # Both walks share their first digits bit for bit; each later digit rounds one
+            # product and one sum of magnitude at most the span.
+            rounding = 2.0 * system.default_depth * EPS * b.span
+            for x in rng.random(24):
+                v, bound = evaluate_at(system, float(x))
+                full = evaluate_at(system, float(x), system.default_depth).value
+                assert abs(v - full) <= bound + rounding
+
+    def test_terminating_points_keep_bound_zero(self):
+        rng, systems = self._systems()
+        dyadic = SelfAffineSystem.from_values((0.5, 0.25, 0.25), (0.5, -0.25, 0.75))
+        closed = 0
+        for system in (*systems, dyadic):
+            Q, s = system.Q, system.s
+            for _ in range(12):
+                base = [int(v) for v in rng.integers(0, s, size=int(rng.integers(1, 5)))]
+                x = cylinder_bounds(base, Q)[0]
+                digits, period = unwalk(x, Q.beta, Q.q, system.default_depth, (s - 1,))
+                if period is None:
+                    assert system is not dyadic
+                    continue  # the float descent missed the left end (ROADMAP item 1)
+                closed += 1
+                exact = evaluate(system, DigitString(digits, period, s)).value
+                assert evaluate_at(system, x) == (exact, 0.0)
+        assert closed >= 150
 
 
 class TestVariation:
