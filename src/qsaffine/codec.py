@@ -14,14 +14,17 @@ gives f.  This module owns both walks: ``walk`` composes the maps into a
 value and ``unwalk`` descends greedily from a value back to digits
 (``unwalk_value`` joins the two for one map pair, ``unwalk_into`` for the
 digits of x composed under f's maps); ``selfaffine`` and ``extrema`` reuse
-them.  Around them sit cylinder intervals, the heads and digit frequencies
-of a ``DigitString``, and the bookkeeping for points that admit two
-expansions (a terminating one and its all-high twin).
+them, and ``string_sum`` is the one sum of a digit string behind ``decode``
+and ``selfaffine.evaluate``.  Around them sit cylinder intervals, the one
+digit check (``check_digits``), the heads and digit frequencies of a
+``DigitString``, and the bookkeeping for points with two expansions (a
+terminating one and its twin).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, islice
@@ -80,6 +83,18 @@ class StochasticVector:
         object.__setattr__(self, "s", len(q))
 
 
+def check_digits(values, s: int) -> tuple[int, ...]:
+    """``values`` as digits below ``s`` by ``operator.index``: 1.9 raises ``InvalidDigit``."""
+    try:
+        digits = tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise InvalidDigit(f"a digit must be an integer: {exc}") from None
+    for d in digits:
+        if not 0 <= d < s:
+            raise InvalidDigit(f"digit {d} outside alphabet of size {s}")
+    return digits
+
+
 def _primitive_cycle(period: tuple[int, ...]) -> tuple[int, ...]:
     r = len(period)
     for d in range(1, r + 1):
@@ -108,13 +123,10 @@ class DigitString:
     def __post_init__(self) -> None:
         if self.s < 2:
             raise ValidationError("alphabet size must be at least 2")
-        prefix = tuple(int(d) for d in self.prefix)
-        period = None if self.period is None else tuple(int(d) for d in self.period)
+        prefix = check_digits(self.prefix, self.s)
+        period = None if self.period is None else check_digits(self.period, self.s)
         if period is not None and len(period) == 0:
             raise ValidationError("an empty period is forbidden; use period=None for truncation")
-        for d in (*prefix, *(period or ())):
-            if not 0 <= d < self.s:
-                raise InvalidDigit(f"digit {d} outside alphabet of size {self.s}")
         if period is not None:
             period = _primitive_cycle(period)
             prefix = list(prefix)
@@ -126,27 +138,6 @@ class DigitString:
             period = tuple(period)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
-
-    @property
-    def truncated(self) -> bool:
-        return self.period is None
-
-    @property
-    def is_high(self) -> bool:
-        """True for the all-high representation of a twin pair (period ``(s-1,)``)."""
-        return self.period == (self.s - 1,)
-
-    def digit_at(self, index: int) -> int:
-        """Digit at 0-based ``index``; the first digit of the expansion is index 0."""
-        if index < 0:
-            raise ValidationError("digit index must be non-negative")
-        if index < len(self.prefix):
-            return self.prefix[index]
-        if self.period is None:
-            raise InsufficientDepth(
-                f"truncated string holds {len(self.prefix)} digits; index {index} requested"
-            )
-        return self.period[(index - len(self.prefix)) % len(self.period)]
 
     def head(self, n: int) -> tuple[int, ...]:
         """First ``n`` digits: the prefix, then the period repeated."""
@@ -160,7 +151,7 @@ class DigitString:
         return digits
 
     def prepend(self, digit: int) -> "DigitString":
-        return DigitString((int(digit),) + self.prefix, self.period, self.s)
+        return DigitString((digit, *self.prefix), self.period, self.s)
 
     def to_text(self) -> str:
         """Render as ``"1,3,(0,2)"``; a missing parenthesized tail means truncated."""
@@ -224,13 +215,13 @@ def check_alphabet(d: DigitString, s: int) -> None:
         raise InvalidDigit(f"digit string over alphabet {d.s} used with alphabet {s}")
 
 
-def walk(digits, offsets, scales, acc: float = 0.0, prod: float = 1.0) -> tuple[float, float]:
+def walk(digits, offsets, scales) -> tuple[float, float]:
     """Compose the maps ``t -> offsets[d] + scales[d] * t`` of ``digits``.
 
-    Starting from the map ``t -> acc + prod * t``, returns the composed
-    ``(acc, prod)``: ``acc`` is the value of ``digits`` followed by zeros and
-    ``prod`` the scale left on the tail.
+    Returns the composed ``(acc, prod)``: ``acc`` is the value of ``digits``
+    followed by zeros and ``prod`` the scale left on the tail.
     """
+    acc, prod = 0.0, 1.0
     for d in digits:
         acc += offsets[d] * prod
         prod *= scales[d]
@@ -337,26 +328,29 @@ def _descent_start(t: float, depth: int) -> float:
     return t
 
 
-def periodic_tail_value(
-    period: tuple[int, ...], offsets: tuple[float, ...], scales: tuple[float, ...], s: int
-) -> float:
-    """Value of the purely periodic string under (offsets, scales).
+def string_sum(prefix, period, offsets, scales) -> tuple[float, float]:
+    """``(acc, prod)`` of ``prefix`` then ``period`` (None: truncated) under (offsets, scales).
 
-    Solves v = P + v * prod(scales over period) in closed form; the product
-    has magnitude below 1, so the geometric tail always converges.  The
-    single-digit extremes are pinned to exactly 0 and 1: in floating point
-    ``offsets[s-1] / (1 - scales[s-1])`` would drift off 1 by an ulp.
+    A truncated string gives ``walk`` of its prefix.  A period adds its
+    value ``v = P / (1 - prod(scales over period))`` in closed form and
+    leaves ``prod = 0.0``; the periods ``(0,)`` and ``(s-1,)`` are pinned to
+    exactly 0 and 1, off which the quotient would drift by an ulp.
     """
+    acc, prod = walk(prefix, offsets, scales)
+    if period is None:
+        return acc, prod
     if period == (0,):
-        return 0.0
-    if period == (s - 1,):
-        return 1.0
-    pacc, pprod = walk(period, offsets, scales)
-    return pacc / (1.0 - pprod)
+        tail = 0.0
+    elif period == (len(offsets) - 1,):
+        tail = 1.0
+    else:
+        pacc, pprod = walk(period, offsets, scales)
+        tail = pacc / (1.0 - pprod)
+    return acc + prod * tail, 0.0
 
 
 def decode(d: DigitString, Q: StochasticVector) -> float:
-    """Sum the expansion of ``d`` under ``Q``.
+    """Sum the expansion of ``d`` under ``Q`` with ``string_sum``, clamped to [0, 1].
 
     Periodic tails are summed in closed form.  For a truncated string the
     partial sum (the left endpoint of its cylinder) is returned; the caller's
@@ -364,9 +358,7 @@ def decode(d: DigitString, Q: StochasticVector) -> float:
     weights (see ``cylinder_bounds``).
     """
     check_alphabet(d, Q.s)
-    acc, prod = walk(d.prefix, Q.beta, Q.q)
-    if d.period is not None:
-        acc += prod * periodic_tail_value(d.period, Q.beta, Q.q, Q.s)
+    acc = string_sum(d.prefix, d.period, Q.beta, Q.q)[0]
     if acc < 0.0:
         return 0.0
     if acc > 1.0:
@@ -408,14 +400,12 @@ def twin_representation(d: DigitString) -> DigitString | None:
 def cylinder_bounds(base, Q: StochasticVector) -> tuple[float, float, float]:
     """(left, right, length) of the cylinder of all points whose expansion starts with ``base``.
 
-    ``left`` is the value of the base followed by zeros, ``length`` the
-    product of the base weights, and ``right = left + length`` equals the
-    value of the base followed by high digits.
+    ``base`` goes through ``check_digits``.  ``left`` is the value of the
+    base followed by zeros, ``length`` the product of the base weights, and
+    ``right = left + length`` equals the value of the base followed by high
+    digits.
     """
-    base = tuple(int(d) for d in base)
-    for dig in base:
-        if not 0 <= dig < Q.s:
-            raise InvalidDigit(f"digit {dig} outside alphabet of size {Q.s}")
+    base = check_digits(base, Q.s)
     left, prod = walk(base, Q.beta, Q.q)
     return left, left + prod, prod
 

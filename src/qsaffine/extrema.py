@@ -21,10 +21,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codec import DigitString, StochasticVector, twin_representation, unwalk, unwalk_value
+from .codec import (
+    DigitString, StochasticVector, check_digits, twin_representation, unwalk, unwalk_value,
+)
 from .errors import (
     CertificationError,
     ConditionsNotMet,
+    InvalidDigit,
     PreconditionViolated,
     ValidationError,
 )
@@ -67,11 +70,7 @@ class CantorSpec:
     dimension: float
 
     def __post_init__(self) -> None:
-        allowed = frozenset(int(i) for i in self.allowed)
-        if not allowed:
-            raise ValidationError("allowed digit set must be non-empty")
-        if any(not 0 <= i < self.Q.s for i in allowed):
-            raise ValidationError("allowed digits outside alphabet")
+        allowed = _digit_set(self.allowed, self.Q.s)
         if not 0.0 <= self.dimension <= 1.0:
             raise ValidationError("dimension must lie in [0, 1]")
         full = len(allowed) == self.Q.s
@@ -113,6 +112,17 @@ class NonInvarianceReport:
     max_residual: float | None
 
 
+def _digit_set(allowed, s: int) -> frozenset[int]:
+    """``allowed`` as a non-empty set of digits that pass ``codec.check_digits``."""
+    try:
+        V = frozenset(check_digits(allowed, s))
+    except InvalidDigit as exc:
+        raise ValidationError(f"allowed digits: {exc}") from None
+    if not V:
+        raise ValidationError("allowed digit set must be non-empty")
+    return V
+
+
 def moran_dimension(Q: StochasticVector, allowed) -> float:
     """Root of ``sum_{i in allowed} q_i^x = 1`` on [0, 1], by bisection.
 
@@ -121,11 +131,7 @@ def moran_dimension(Q: StochasticVector, allowed) -> float:
     bracket is always valid.  Bisection runs to 1e-14 so the Moran residual
     of the returned root stays below 1e-12.
     """
-    V = sorted(set(int(i) for i in allowed))
-    if not V:
-        raise ValidationError("allowed digit set must be non-empty")
-    if any(not 0 <= i < Q.s for i in V):
-        raise ValidationError("allowed digits outside alphabet")
+    V = sorted(_digit_set(allowed, Q.s))
     if len(V) == Q.s:
         return 1.0
     if len(V) == 1:
@@ -227,7 +233,7 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
 
 def level_witness(system: SelfAffineSystem, V, leading_zeros: int = 0) -> DigitString:
     """A point of the (shifted) level set: ``leading_zeros`` zeros, then V cycling."""
-    period = tuple(sorted(set(int(i) for i in V)))
+    period = tuple(sorted(set(check_digits(V, system.s))))
     if not period:
         raise ValidationError("witness needs a non-empty digit set")
     return DigitString((0,) * leading_zeros, period, system.s)
@@ -242,6 +248,8 @@ def derived_levels(
     g_0^n, so each y_n inherits a continuum of preimages.  Every returned
     level is certified by evaluating such a witness to within ``tol``.
     """
+    if count < 0:
+        raise ValidationError(f"level count must be non-negative; got {count!r}")
     desc = level_set(system, y, tol)
     if not desc.continuum:
         raise PreconditionViolated(

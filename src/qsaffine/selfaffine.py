@@ -29,8 +29,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .codec import (
-    DigitString, StochasticVector, check_alphabet, periodic_tail_value, running_sums, unwalk,
-    unwalk_into, walk,
+    DigitString, StochasticVector, check_alphabet, running_sums, string_sum, unwalk, unwalk_into,
 )
 from .errors import CertificationError, InvalidDigit, ValidationError
 
@@ -211,19 +210,19 @@ def _sum(system: SelfAffineSystem, digits, period) -> Evaluation:
         while n and digits[n - 1] == period[0]:
             n -= 1
         digits = digits[:n]
-    acc, prod = walk(digits, delta, g)
+    acc, prod = string_sum(digits, period, delta, g)
     if period is None:
         return Evaluation(acc, system.bounds.span * abs(prod))
-    acc += prod * periodic_tail_value(period, delta, g, system.s)
     return Evaluation(acc, 0.0)
 
 
 def evaluate(system: SelfAffineSystem, d: DigitString) -> Evaluation:
-    """f at the point with digits ``d``.
+    """f at the point with digits ``d``, summed by ``codec.string_sum`` as ``decode`` sums x.
 
-    Exact (periodic) strings evaluate in closed form with error bound 0.
-    Truncated strings return the partial sum; the true value differs by at
-    most ``(M - m) * prod |g_{a_j}|`` over the consumed digits.
+    Exact (periodic) strings evaluate in closed form with error bound 0,
+    without the global bounds.  Truncated strings return the partial sum;
+    the true value differs by at most ``(M - m) * prod |g_{a_j}|`` over the
+    consumed digits.
     """
     check_alphabet(d, system.s)
     return _sum(system, d.prefix, d.period)
@@ -299,16 +298,17 @@ def _extreme_descent(
     the function ranges over ``a + p*[m, M]`` exactly, so the child with the
     largest upper (smallest lower) hull value always contains the global
     maximum (minimum).  Descend until the hull width ``|p|*(M-m)`` drops
-    below ``tol`` and return that cylinder's left endpoint and exact value.
+    below ``tol`` and return that cylinder's left endpoint and exact value,
+    composing the maps of x and of f in the step that picks each digit.
     """
-    g, delta = system.G.g, system.G.delta
+    q, beta, g, delta = system.Q.q, system.Q.beta, system.G.g, system.G.delta
     b = system.bounds
     hi, lo = (b.M, b.m) if maximize else (b.m, b.M)
     sign = 1.0 if maximize else -1.0
-    digits: list[int] = []
-    fa = 0.0
-    gp = 1.0
-    while abs(gp) * b.span > tol and len(digits) < cap:
+    x, qp, fa, gp = 0.0, 1.0, 0.0, 1.0
+    for _ in range(cap):
+        if abs(gp) * b.span <= tol:
+            break
         best_dig = 0
         best_val = -math.inf
         for dig in range(system.s):
@@ -317,9 +317,9 @@ def _extreme_descent(
             if hull > best_val:
                 best_val = hull
                 best_dig = dig
-        digits.append(best_dig)
-        fa, gp = walk((best_dig,), delta, g, fa, gp)
-    return walk(digits, system.Q.beta, system.Q.q)[0], fa
+        x, qp = x + beta[best_dig] * qp, qp * q[best_dig]
+        fa, gp = fa + delta[best_dig] * gp, gp * g[best_dig]
+    return x, fa
 
 
 def sample(

@@ -1,20 +1,25 @@
 import math
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qsaffine import (
+    AffineCoefficients,
     DigitString,
     InsufficientDepth,
     InvalidDigit,
     OutOfDomain,
+    SelfAffineSystem,
     StochasticVector,
     ValidationError,
     cylinder_bounds,
     decode,
     digit_frequencies,
     encode,
+    evaluate,
     twin_representation,
 )
 
@@ -75,6 +80,18 @@ class TestValidation:
         with pytest.raises(InvalidDigit):
             DigitString((0,), (0, 5), 4)
 
+    def test_non_integral_digit_rejected(self):
+        # a digit is converted with operator.index, never truncated
+        with pytest.raises(InvalidDigit):
+            DigitString((1.9, 2.5), (0.7,), 3)
+        with pytest.raises(InvalidDigit):
+            DigitString((1,), (2.0,), 3)
+        with pytest.raises(InvalidDigit):
+            DigitString((1,), (0,), 3).prepend(1.5)
+        d = DigitString((np.int64(1), True), (np.uint8(2),), 3)
+        assert d == DigitString((1, 1), (2,), 3)
+        assert all(type(v) is int for v in (*d.prefix, *d.period))
+
     def test_empty_period_forbidden(self):
         with pytest.raises(ValidationError):
             DigitString((1,), (), 4)
@@ -94,15 +111,11 @@ class TestCanonicalForm:
         d = DigitString((2, 1), (0, 1), 3)
         assert d.prefix == (2,) and d.period == (1, 0)
 
-    def test_high_flag(self):
-        assert DigitString((1,), (3,), 4).is_high
-        assert not DigitString((1,), (0,), 4).is_high
-
     def test_text_round_trip(self):
         for text in ("1,3,(0,2)", "(2)", "1,3", "0,(1)"):
             d = DigitString.from_text(text, 4)
             assert DigitString.from_text(d.to_text(), 4) == d
-        assert DigitString.from_text("1,3", 4).truncated
+        assert DigitString.from_text("1,3", 4).period is None
 
 
 class TestDecode:
@@ -130,6 +143,23 @@ class TestDecode:
             decode(DigitString((1,), (0,), 3), Q4)
 
 
+class TestSharedSum:
+    @given(Q=weight_vectors(), data=st.data())
+    def test_decode_is_evaluate_with_ratios_equal_to_weights(self, Q, data):
+        # decode and evaluate share one string sum: with g = q the function is
+        # the identity and both give the same bits, up to decode's clamp
+        digit = st.integers(0, Q.s - 1)
+        prefix = tuple(data.draw(st.lists(digit, max_size=12)))
+        period = data.draw(st.none() | st.lists(digit, min_size=1, max_size=5).map(tuple))
+        d = DigitString(prefix, period, Q.s)
+        system = SelfAffineSystem(Q, AffineCoefficients(Q.q))
+        value = evaluate(system, d).value
+        if d.period is not None:
+            assert "bounds" not in system.__dict__  # exact strings never need the bounds
+        clamped = 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
+        assert struct.pack("<d", decode(d, Q)) == struct.pack("<d", clamped)
+
+
 class TestEncode:
     def test_zero_and_one(self):
         assert encode(0.0, Q4, 10) == DigitString((), (0,), 4)
@@ -143,7 +173,7 @@ class TestEncode:
             oracle.append(int(x))
             x -= int(x)
         d = encode(1 / 3, Q2, 20)
-        assert d.truncated and d.prefix == tuple(oracle)
+        assert d.period is None and d.prefix == tuple(oracle)
 
     def test_boundary_tie_takes_larger_digit(self):
         # x = beta_1 exactly: digit 1 then the zero tail, not 0,(s-1)
@@ -196,6 +226,13 @@ class TestTwins:
 class TestCylinders:
     def test_rank_zero_is_unit_interval(self):
         assert cylinder_bounds((), Q4) == (0.0, 1.0, 1.0)
+
+    def test_non_integral_base_rejected(self):
+        with pytest.raises(InvalidDigit):
+            cylinder_bounds((1.9,), Q4)
+        with pytest.raises(InvalidDigit):
+            cylinder_bounds((4,), Q4)
+        assert cylinder_bounds((np.int64(1), True), Q4) == cylinder_bounds((1, 1), Q4)
 
     def test_half_split(self):
         assert cylinder_bounds((1,), Q2) == (0.5, 1.0, 0.5)
@@ -261,11 +298,7 @@ class TestDigitReaders:
         d, prefix, period = drawn
         ref = prefix if period is None else (prefix + period * 24)[:24]
 
-        for j in range(len(ref)):
-            assert d.digit_at(j) == ref[j]
         if period is None:
-            with pytest.raises(InsufficientDepth):
-                d.digit_at(len(ref))
             with pytest.raises(InsufficientDepth):
                 digit_frequencies(d)
         else:

@@ -14,6 +14,7 @@ from qsaffine import (
     CantorSpec,
     ConditionsNotMet,
     DigitString,
+    InvalidDigit,
     NonInvarianceReport,
     OutOfDomain,
     PreconditionViolated,
@@ -204,6 +205,18 @@ class TestDerivedLevels:
     def test_empty_for_zero_count(self):
         assert derived_levels(LEVEL_SETS, 0.625, 0) == []
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValidationError):
+            derived_levels(LEVEL_SETS, 0.625, -1)
+
+    def test_witness_rejects_non_integral_digits(self):
+        # the class a digit outside the alphabet raises, from the DigitString built
+        with pytest.raises(InvalidDigit):
+            level_witness(LEVEL_SETS, (1.5, 3.9))
+        with pytest.raises(InvalidDigit):
+            level_witness(LEVEL_SETS, (1, 5))
+        assert level_witness(LEVEL_SETS, (np.int64(3), True)) == DigitString((), (1, 3), 5)
+
     def test_witness_identity(self):
         w = level_witness(LEVEL_SETS, (1, 3), leading_zeros=1)
         assert w == DigitString((0,), (1, 3), 5)
@@ -230,6 +243,13 @@ class TestMoran:
                 lambda x: math.fsum(w**x for w in weights) - 1.0, 1e-12, 1.0, xtol=1e-15
             )
             assert moran_dimension(q, allowed) == pytest.approx(oracle, abs=1e-12)
+
+    def test_non_integral_digits_rejected(self):
+        with pytest.raises(ValidationError):
+            moran_dimension(CANTOR_MAX.Q, {1.5, 2.9})
+        with pytest.raises(ValidationError):
+            moran_dimension(CANTOR_MAX.Q, {1, 4})
+        assert moran_dimension(CANTOR_MAX.Q, {np.int64(2), True}) == moran_dimension(CANTOR_MAX.Q, {1, 2})
 
     def test_objective_strictly_decreasing(self):
         weights = [CANTOR_MAX.Q.q[i] for i in (1, 2)]
@@ -263,6 +283,14 @@ class TestMaximaSet:
             CantorSpec(CANTOR_MAX.Q, frozenset({1, 2}), 0.9)  # wrong dimension
         with pytest.raises(ValidationError):
             CantorSpec(CANTOR_MAX.Q, frozenset({1, 2}), 0.0)  # zero needs singleton
+
+    def test_spec_rejects_non_integral_digits(self):
+        dim = moran_dimension(CANTOR_MAX.Q, {1, 2})
+        with pytest.raises(ValidationError):
+            CantorSpec(CANTOR_MAX.Q, frozenset({1.5, 2.9}), dim)
+        with pytest.raises(ValidationError):
+            CantorSpec(CANTOR_MAX.Q, frozenset({1, 4}), dim)
+        assert CantorSpec(CANTOR_MAX.Q, frozenset({np.int64(2), True}), dim).allowed == {1, 2}
 
 
 class TestCantorConstruction:
