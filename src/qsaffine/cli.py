@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import extrema, holder, selfaffine, svgplot
@@ -135,16 +136,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) -> dict:
-    """Deterministic aggregate report; every numeric block carries its tolerance."""
+    """Deterministic aggregate report; every numeric block carries its tolerance.
+
+    One pass: the quotients, M, V(M) and m come from one
+    ``extrema._closed_forms`` call, and the logs of the exponents from
+    ``system.logs``.  Each block equals what the public functions give:
+    ``level_set`` per level row, ``closed_form_max``/``closed_form_min``,
+    ``maxima_set`` and the ``holder`` exponents and predicates.
+    """
     if depth is not None and depth < 1:
         raise ValidationError("depth must be at least 1")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValidationError(f"level tolerance must be finite and non-negative; got {tolerance!r}")
     system = config.system()
-    g, delta = system.G.g, system.G.delta
-    k = extrema.closed_form_regime(system)
+    g = system.G.g
+    forms = extrema._closed_forms(system)
+    k = forms.k
     oracle = system.bounds
     if k is not None:
-        m_val = extrema.closed_form_min(system)
-        big_m, _ = extrema.closed_form_max(system)
+        m_val, big_m = forms.m, forms.M
         source, bounds_tol = "closed-form", extrema.ORACLE_TOL
     else:
         m_val, big_m = oracle.m, oracle.M
@@ -158,13 +168,15 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
         "oracle_residual": oracle.residual,
     }
 
-    # Rows ascend by value; each takes the digits of its level set that no earlier row holds.
+    # Rows ascend by value; each takes the digits of its level set (the
+    # quotients within tolerance of its value) that no earlier row holds.
+    quotients = forms.quotients
     levels = []
     placed: set[int] = set()
-    for y, i in sorted((delta[i] / (1.0 - g[i]), i) for i in range(system.s)):
+    for y, i in sorted(zip(quotients, range(system.s))):
         if i in placed:
             continue
-        digits = extrema.level_set(system, y, tolerance).V - placed
+        digits = {j for j, v in enumerate(quotients) if abs(v - y) <= tolerance} - placed
         placed |= digits
         levels.append(
             {"y": y, "digits": sorted(digits), "continuum": len(digits) >= 2, "tolerance": tolerance}
@@ -182,7 +194,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     maxima = None
     non_invariance = None
     if k is not None:
-        spec = extrema.maxima_set(system)
+        spec = extrema.CantorSpec(system.Q, forms.V, extrema.moran_dimension(system.Q, forms.V))
         maxima = {
             "digits": sorted(spec.allowed),
             "dimension": spec.dimension,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, islice
@@ -37,18 +38,26 @@ from .errors import (
     ValidationError,
 )
 
-#: Tolerance on the "weights sum to one" checks.  Inputs outside it are
-#: rejected, never renormalized: silently rescaling the weights would
-#: desynchronize the stored offsets from them.
+#: Tolerance on the "frequencies sum to one" check of ``FrequencyVector``.
 SUM_TOL = 1e-12
+
+#: Double-precision epsilon, ``2**-52``: the unit of the rounding allowances.
+EPS = sys.float_info.epsilon
 
 
 def running_sums(values, name: str, admissible: Callable[[float], bool], rule: str):
     """Validate a weight vector summing to 1; return it with its running sums.
 
     Each of the at least 2 entries must pass ``admissible``, the condition
-    that ``rule`` states in errors.  The offsets are the partial sums taken
-    left to right, starting at ``offsets[0] == 0.0``.
+    that ``rule`` states in errors.  The sum must be 1 up to rounding:
+    ``|fsum(v) - 1| <= eps * fsum(|v|)``.  Rational weights that sum to 1
+    exactly pass, since each double lies within ``eps/2 * |v_i|`` of its
+    rational (Higham 2002, section 2.2).  Any further-off vector is
+    rejected, never renormalized: the library pins ``f(1) = 1``, which a
+    vector summing short of 1 does not attain, and silently rescaling the
+    weights would desynchronize the stored offsets from them.  The offsets
+    are the partial sums taken left to right, starting at
+    ``offsets[0] == 0.0``.
     """
     values = tuple(float(v) for v in values)
     if len(values) < 2:
@@ -57,9 +66,10 @@ def running_sums(values, name: str, admissible: Callable[[float], bool], rule: s
         if not admissible(v):
             raise ValidationError(f"{name}[{i}] = {v!r} must satisfy {rule}")
     total = math.fsum(values)
-    if abs(total - 1.0) > SUM_TOL:
+    tol = EPS * math.fsum(map(abs, values))
+    if abs(total - 1.0) > tol:
         raise ValidationError(
-            f"{name} must sum to 1 within {SUM_TOL:g}; got sum = {total!r}"
+            f"{name} must sum to 1 up to rounding ({tol:.3g}); got sum = {total!r}"
         )
     return values, (0.0, *accumulate(values[:-1]))
 
@@ -121,10 +131,14 @@ class DigitString:
     s: int
 
     def __post_init__(self) -> None:
-        if self.s < 2:
+        try:
+            s = operator.index(self.s)
+        except TypeError:
+            raise ValidationError(f"alphabet size must be an integer; got {self.s!r}") from None
+        if s < 2:
             raise ValidationError("alphabet size must be at least 2")
-        prefix = check_digits(self.prefix, self.s)
-        period = None if self.period is None else check_digits(self.period, self.s)
+        prefix = check_digits(self.prefix, s)
+        period = None if self.period is None else check_digits(self.period, s)
         if period is not None and len(period) == 0:
             raise ValidationError("an empty period is forbidden; use period=None for truncation")
         if period is not None:
@@ -138,6 +152,7 @@ class DigitString:
             period = tuple(period)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
+        object.__setattr__(self, "s", s)
 
     def head(self, n: int) -> tuple[int, ...]:
         """First ``n`` digits: the prefix, then the period repeated."""
@@ -261,12 +276,25 @@ def unwalk_value(t: float, offsets, scales, depth: int) -> float:
     None)`` and composes their maps as it goes, so it equals
     ``walk(unwalk(t, offsets, scales, depth, None)[0], offsets, scales)[0]``
     bit for bit: the same digits, and the same float operations in the same
-    order.
+    order.  As in every descent of the library, ``offsets`` ascend from
+    ``offsets[0] == 0`` and ``scales[d]`` lies in (0, 1) for each digit
+    ``d`` the descent can take, so ``acc >= 0`` and ``prod > 0`` only
+    shrinks.  A residue of 0, where ``unwalk`` closes, takes digit 0, whose
+    offset 0 adds nothing, so the descent needs no exit there.
+
+    It stops before ``depth`` once ``offsets[-1] * prod * 2**55 < acc``.
+    Each later term ``offsets[d] * prod`` is then below ``2**-55 * acc``,
+    and so below half the spacing of the doubles around ``acc``: ``2**-54 *
+    acc`` bounds that half-spacing from below, also just under a power of
+    two, and the other factor 2 covers the rounding of the test itself.
+    Adding such a term rounds back to ``acc``, so no later step can change
+    it, and the bits are those of the full walk.
     """
     t = _descent_start(t, depth)
+    fixed = offsets[-1] * 2.0**55
     acc, prod = 0.0, 1.0
     for _ in range(depth):
-        if t == 0.0:
+        if fixed * prod < acc:
             break
         d = bisect_right(offsets, t) - 1
         offset = offsets[d]

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .codec import (
     DigitString, StochasticVector, check_digits, twin_representation, unwalk, unwalk_value,
@@ -176,18 +177,33 @@ def _require_regime(system: SelfAffineSystem) -> int:
     return k
 
 
-def closed_form_max(system: SelfAffineSystem) -> tuple[float, frozenset[int]]:
-    """Maximum ``M = max_i delta_i / (1 - g_i)`` and its digit set V(M).
+class _ClosedForms(NamedTuple):
+    """What ``_closed_forms`` computes; ``M``, ``V`` and ``m`` are None outside the regime."""
 
-    Cross-checked against the bounds solver; also asserts that neither 0
-    nor the negative digit k belongs to V(M) (their quotients are 0 and a
-    value below delta_k respectively).
+    quotients: list[float]
+    k: int | None
+    M: float | None
+    V: frozenset[int] | None
+    m: float | None
+
+
+def _closed_forms(system: SelfAffineSystem) -> _ClosedForms:
+    """The quotients ``delta_i / (1 - g_i)`` and, in the regime, M, V(M) and m, each once.
+
+    ``closed_form_max``, ``closed_form_min`` and ``maxima_set`` read their
+    values from here, and ``cli.build_analysis`` calls it once per system
+    for all of them and its level rows.  V(M) is ``level_set(system, M).V``
+    from the same quotients.  Every regime value is checked before it is
+    returned: M against the bounds solver, then ``0, k not in V``, then
+    ``|m| < M`` and m against the bounds solver.
     """
-    k = _require_regime(system)
     g, delta = system.G.g, system.G.delta
     quotients = [d / (1.0 - v) for d, v in zip(delta, g)]
+    k = closed_form_regime(system)
+    if k is None:
+        return _ClosedForms(quotients, None, None, None, None)
     M = max(quotients)
-    V = level_set(system, M).V
+    V = frozenset(i for i, y in enumerate(quotients) if abs(y - M) <= LEVEL_TOL)
     oracle = system.bounds
     if abs(M - oracle.M) > ORACLE_TOL:
         raise CertificationError(
@@ -195,22 +211,39 @@ def closed_form_max(system: SelfAffineSystem) -> tuple[float, frozenset[int]]:
         )
     if 0 in V or k in V:
         raise CertificationError(f"digits 0 and {k} cannot be maximum digits; got V = {set(V)}")
-    return M, V
-
-
-def closed_form_min(system: SelfAffineSystem) -> float:
-    """Minimum ``m = min(0, delta_k + g_k M)``; asserts |m| < M and checks the bounds solver."""
-    k = _require_regime(system)
-    M, _ = closed_form_max(system)
-    m = min(0.0, system.G.delta[k] + system.G.g[k] * M)
+    m = min(0.0, delta[k] + g[k] * M)
     if not abs(m) < M:
         raise CertificationError(f"|m| < M violated: m = {m!r}, M = {M!r}")
-    oracle = system.bounds
     if abs(m - oracle.m) > ORACLE_TOL:
         raise CertificationError(
             f"closed-form minimum {m!r} disagrees with oracle {oracle.m!r}"
         )
-    return m
+    return _ClosedForms(quotients, k, M, V, m)
+
+
+def _regime_forms(system: SelfAffineSystem) -> _ClosedForms:
+    """``_closed_forms`` of a system in the regime; ``ConditionsNotMet`` outside it."""
+    _require_regime(system)
+    return _closed_forms(system)
+
+
+def closed_form_max(system: SelfAffineSystem) -> tuple[float, frozenset[int]]:
+    """Maximum ``M = max_i delta_i / (1 - g_i)`` and its digit set V(M).
+
+    Read from ``_closed_forms``, which cross-checks them against the bounds
+    solver and asserts that neither 0 nor the negative digit k belongs to
+    V(M) (their quotients are 0 and a value below delta_k respectively).
+    """
+    forms = _regime_forms(system)
+    return forms.M, forms.V
+
+
+def closed_form_min(system: SelfAffineSystem) -> float:
+    """Minimum ``m = min(0, delta_k + g_k M)``, read from ``_closed_forms``.
+
+    That helper asserts |m| < M and checks m against the bounds solver.
+    """
+    return _regime_forms(system).m
 
 
 def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> LevelSetDescriptor:
@@ -274,10 +307,11 @@ def derived_levels(
 def maxima_set(system: SelfAffineSystem) -> CantorSpec:
     """The set of maximum points as a digit-restricted set with its dimension.
 
+    V(M) is read from ``_closed_forms``, as ``closed_form_max`` reads it.
     A singleton V(M) = {i} means a unique maximum point, the fixed point of
     the digit-i map, and dimension 0 (``CantorSpec.singleton`` is then set).
     """
-    _, V = closed_form_max(system)
+    V = _regime_forms(system).V
     return CantorSpec(Q=system.Q, allowed=V, dimension=moran_dimension(system.Q, V))
 
 

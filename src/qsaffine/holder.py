@@ -1,7 +1,8 @@
 """Local and global Hölder exponents, analytic and empirical.
 
 All analytic exponents are ratios of logarithms of the vertical ratios to
-logarithms of the partition weights:
+logarithms of the partition weights, read off ``SelfAffineSystem.logs``
+(taken once per system):
 
 * global:            min_i ln|g_i| / ln q_i
 * at digit frequencies nu (points with two-sided approach, nu_0, nu_{s-1} < 1):
@@ -18,6 +19,7 @@ the frequency formula exactly on periodic strings at period multiples.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Iterable
@@ -57,21 +59,13 @@ class HolderReport:
             raise ValidationError(f"exponent must be non-negative; got {self.exponent!r}")
 
 
-def _quotient(system: SelfAffineSystem, i: int) -> float:
-    return math.log(abs(system.G.g[i])) / math.log(system.Q.q[i])
-
-
 def global_exponent(system: SelfAffineSystem) -> HolderReport:
     """Hölder exponent of f on all of [0, 1]: the worst single-digit quotient."""
-    return HolderReport(
-        exponent=min(_quotient(system, i) for i in range(system.s)),
-        kind="global",
-    )
+    log_q, log_g = system.logs
+    return HolderReport(exponent=min(map(operator.truediv, log_g, log_q)), kind="global")
 
 
-def local_exponent_unary(
-    system: SelfAffineSystem, nu: FrequencyVector, *, kind: str = "local_unary"
-) -> HolderReport:
+def local_exponent_unary(system: SelfAffineSystem, nu: FrequencyVector) -> HolderReport:
     """Exponent at a uniquely-represented point with digit frequencies ``nu``.
 
     Requires nu_0 < 1 and nu_{s-1} < 1: a point whose digits are eventually
@@ -88,21 +82,36 @@ def local_exponent_unary(
         raise HypothesisViolated(
             "frequency formula requires nu_0 < 1 and nu_{s-1} < 1"
         )
-    num = math.fsum(v * math.log(abs(gi)) for v, gi in zip(nu.nu, system.G.g) if v > 0.0)
-    den = math.fsum(v * math.log(qi) for v, qi in zip(nu.nu, system.Q.q) if v > 0.0)
-    return HolderReport(exponent=num / den, kind=kind, frequencies_used=nu)
+    log_q, log_g = system.logs
+    num = math.fsum(v * lg for v, lg in zip(nu.nu, log_g) if v > 0.0)
+    den = math.fsum(v * lq for v, lq in zip(nu.nu, log_q) if v > 0.0)
+    return HolderReport(exponent=num / den, kind="local_unary", frequencies_used=nu)
+
+
+def _typical_sums(system: SelfAffineSystem) -> tuple[float, float]:
+    """``(sum q_i ln|g_i|, sum q_i ln q_i)``: the frequency formula's sums at nu = q."""
+    log_q, log_g = system.logs
+    q = system.Q.q
+    return math.fsum(map(operator.mul, q, log_g)), math.fsum(map(operator.mul, q, log_q))
 
 
 def almost_everywhere_exponent(system: SelfAffineSystem) -> HolderReport:
-    """Exponent at Lebesgue-typical points: digit frequencies equal the weights."""
+    """Exponent at Lebesgue-typical points: digit frequencies equal the weights.
+
+    The weights always meet ``local_exponent_unary``'s hypotheses, and its
+    sums at nu = q are ``_typical_sums``, so this is its value, bit for bit.
+    """
+    num, den = _typical_sums(system)
     nu = FrequencyVector(system.Q.q, n=0, exact=True)
-    return local_exponent_unary(system, nu, kind="almost_everywhere")
+    return HolderReport(exponent=num / den, kind="almost_everywhere", frequencies_used=nu)
 
 
 def local_exponent_binary(system: SelfAffineSystem) -> HolderReport:
     """Exponent at every twin (two-expansion) point: min of the two boundary quotients."""
-    k = min(_quotient(system, 0), _quotient(system, system.s - 1))
-    return HolderReport(exponent=k, kind="local_binary")
+    log_q, log_g = system.logs
+    return HolderReport(
+        exponent=min(log_g[0] / log_q[0], log_g[-1] / log_q[-1]), kind="local_binary"
+    )
 
 
 def empirical_exponent(
@@ -125,9 +134,10 @@ def empirical_exponent(
     acc_w = 0.0
     acc_o = 0.0
     want = set(rank_list)
+    log_q, log_g = system.logs
     for n, dig in enumerate(digits, start=1):
-        acc_w += math.log(system.Q.q[dig])
-        acc_o += math.log(abs(system.G.g[dig]))
+        acc_w += log_q[dig]
+        acc_o += log_g[dig]
         if n in want:
             log_w.append(acc_w)
             log_o.append(acc_o)
@@ -149,8 +159,7 @@ def singularity_predicate(system: SelfAffineSystem) -> bool:
     Sufficient criterion: the typical-point exponent exceeds 1, i.e.
     sum q_i ln|g_i| < sum q_i ln q_i.
     """
-    lhs = math.fsum(qi * math.log(abs(gi)) for qi, gi in zip(system.Q.q, system.G.g))
-    rhs = math.fsum(qi * math.log(qi) for qi in system.Q.q)
+    lhs, rhs = _typical_sums(system)
     return lhs < rhs
 
 

@@ -23,18 +23,14 @@ the digits it loses to rounding.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 from .codec import (
-    DigitString, StochasticVector, check_alphabet, running_sums, string_sum, unwalk, unwalk_into,
+    EPS, DigitString, StochasticVector, check_alphabet, running_sums, string_sum, unwalk, unwalk_into,
 )
 from .errors import CertificationError, InvalidDigit, ValidationError
-
-#: Double-precision epsilon, the unit of the rounding allowances.
-EPS = sys.float_info.epsilon
 
 #: Truncation accuracy target of ``evaluate_at`` and hard cap on ``default_depth``.
 DEPTH_TARGET = 1e-12
@@ -104,6 +100,11 @@ class SelfAffineSystem:
     @cached_property
     def bounds(self) -> BoundsPair:
         return _fixed_point_bounds(self)
+
+    @cached_property
+    def logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """``(ln q_i, ln|g_i|)`` per digit, taken once for the Hölder exponents."""
+        return tuple(map(math.log, self.Q.q)), tuple(math.log(abs(v)) for v in self.G.g)
 
     @cached_property
     def default_depth(self) -> int:

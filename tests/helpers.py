@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,11 +39,21 @@ FIGURE_CONFIGS = (
 )
 
 
+def closing(values) -> tuple[float, ...]:
+    """``values`` with the last entry replaced by ``1 - fsum(the others)``.
+
+    That sum is 1 up to rounding, as validation requires; a vector that is
+    only normalized in floats (dirichlet draws, ``np.sum``) can miss it.
+    """
+    head = tuple(float(v) for v in values[:-1])
+    return head + (1.0 - math.fsum(head),)
+
+
 def random_weights(rng: np.random.Generator, s: int, min_w: float = 0.03):
     while True:
-        w = rng.dirichlet(np.ones(s))
-        if w.min() >= min_w:
-            return tuple(float(v) for v in w)
+        w = closing(rng.dirichlet(np.ones(s)))
+        if min(w) >= min_w:
+            return w
 
 
 def random_admissible_system(
@@ -54,11 +65,10 @@ def random_admissible_system(
     while True:
         mags = rng.uniform(0.05, g_abs_max, size=s - 1)
         signs = rng.choice([-1.0, 1.0], size=s - 1)
-        head = mags * signs
-        last = 1.0 - float(np.sum(head))
+        head = tuple(float(v) for v in mags * signs)
+        last = 1.0 - math.fsum(head)
         if 0.05 <= abs(last) <= g_abs_max:
-            g = tuple(float(v) for v in head) + (float(last),)
-            return SelfAffineSystem.from_values(q, g)
+            return SelfAffineSystem.from_values(q, head + (last,))
 
 
 def random_regime_system(
@@ -84,7 +94,7 @@ def random_regime_system(
             if v.min() >= 0.01 and v.max() <= 0.93:
                 break
         tail = tuple(float(x) for x in v)
-    g = tuple(float(x) for x in w) + (gk,) + tail
+    g = closing(tuple(float(x) for x in w) + (gk,) + tail)
     return SelfAffineSystem.from_values(random_weights(rng, s), g), k
 
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ from hypothesis import given, strategies as st
 import qsaffine
 from qsaffine import cli, extrema, holder, selfaffine, svgplot
 from qsaffine.cli import EXIT_INTERNAL, MAX_DEPTH, MAX_POINTS, _f, build_analysis, main
+from qsaffine.codec import FrequencyVector
 from qsaffine.config import SystemConfig, load_config
 from qsaffine.errors import CertificationError
 from qsaffine.extrema import LEVEL_TOL, level_set
@@ -125,6 +128,95 @@ class TestAnalyze:
             _, out2, _ = run(capsys, "analyze", "--config", cfg("deep_min_s3"), "--format", fmt)
             assert out1 == out2 and out1
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        regime=st.booleans(),
+        tol=st.sampled_from((LEVEL_TOL, 0.0, 0.05)),
+    )
+    def test_blocks_match_public_functions(self, seed, regime, tol):
+        # build_analysis computes each quantity once; every block must still
+        # be what the public functions give on a fresh system.
+        rng = np.random.default_rng(seed)
+        system = random_regime_system(rng)[0] if regime else random_admissible_system(rng)
+        config = as_config(system)
+        report = build_analysis(config, tol, None)
+        ref = config.system()
+        placed: set[int] = set()
+        for row in report["levels"]:
+            V = level_set(ref, row["y"], tol).V
+            assert row["digits"] == sorted(V - placed)
+            assert row["continuum"] == (len(row["digits"]) >= 2)
+            placed |= V
+        assert placed == set(range(ref.s))
+        exponents = {key: e["value"] for key, e in report["exponents"].items()}
+        assert exponents == {
+            "global": holder.global_exponent(ref).exponent,
+            "almost_everywhere": holder.almost_everywhere_exponent(ref).exponent,
+            "binary": holder.local_exponent_binary(ref).exponent,
+        }
+        # almost_everywhere_exponent's shortcut is the frequency formula at nu = q, bit for bit
+        typical = FrequencyVector(ref.Q.q, n=0, exact=True)
+        assert exponents["almost_everywhere"] == holder.local_exponent_unary(ref, typical).exponent
+        k = extrema.closed_form_regime(ref)
+        assert report["predicates"] == {
+            "monotone": all(v > 0 for v in ref.G.g),
+            "singular": holder.singularity_predicate(ref),
+            "nowhere_differentiable": holder.nowhere_differentiable_predicate(ref),
+            "closed_form_regime": k,
+        }
+        b = report["bounds"]
+        if k is None:
+            assert (b["m"], b["M"], b["source"]) == (ref.bounds.m, ref.bounds.M, "oracle")
+            assert report["maxima_set"] is None
+        else:
+            M, _ = extrema.closed_form_max(ref)
+            assert (b["m"], b["M"], b["source"]) == (extrema.closed_form_min(ref), M, "closed-form")
+            spec = extrema.maxima_set(ref)
+            assert report["maxima_set"] == {
+                "digits": sorted(spec.allowed),
+                "dimension": spec.dimension,
+                "singleton": spec.singleton,
+                "tolerance": cli.ANALYZE_TOL,
+            }
+
+
+class TestSumTolerance:
+    """Vectors summing to 1 up to rounding are analysed; any other exits 2, never 5."""
+
+    def test_short_ratio_sum_is_2_naming_the_sum(self, capsys, tmp_path):
+        # 1 - 9e-13: inside the old 1e-12 tolerance, and the bounds solver then failed (exit 5).
+        text = "q: [1/2, 1/4, 1/4]\ng: [1/2, 1/4, 249999999999100/1000000000000000]\n"
+        rc, out, err = run(capsys, "eval", "--config", write_config(tmp_path, text), "--x", "0.3")
+        assert (rc, out) == (2, "")
+        assert "got sum = 0.9999999999991" in json.loads(err)["message"]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        regime=st.booleans(),
+        which=st.sampled_from(("q", "g")),
+        index=st.integers(0, 7),
+        k=st.integers(1, 10_000),
+        sign=st.sampled_from((1.0, -1.0)),
+        x=st.floats(0.0, 1.0),
+    )
+    def test_perturbed_sums_are_analysed_or_2(self, tmp_path_factory, seed, regime, which, index, k, sign, x):
+        # One entry moved by k * 1e-16, so the sum misses 1 by about 1e-16 to 1e-12.
+        rng = np.random.default_rng(seed)
+        system = random_regime_system(rng)[0] if regime else random_admissible_system(rng)
+        q, g = list(system.Q.q), list(system.G.g)
+        vec = q if which == "q" else g
+        vec[index % len(vec)] += sign * k * 1e-16
+        path = tmp_path_factory.mktemp("sums") / "sys.cfg"
+        path.write_text(f"q: [{', '.join(map(repr, q))}]\ng: [{', '.join(map(repr, g))}]\n")
+        valid = all(abs(math.fsum(v) - 1.0) <= sys.float_info.epsilon * math.fsum(map(abs, v)) for v in (q, g))
+        for argv in (["analyze"], ["eval", "--x", repr(x)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([*argv, "--config", str(path)])
+            assert rc == (0 if valid else 2), err.getvalue()
+            if not valid:
+                assert "got sum = " in json.loads(err.getvalue())["message"]
+
 
 class TestExitCodes:
     def test_validation_failure_is_2(self, capsys, tmp_path):
@@ -191,7 +283,8 @@ class TestExitCodes:
         def broken(system):
             raise CertificationError("closed form disagrees with the bounds solver")
 
-        monkeypatch.setattr(extrema, "closed_form_max", broken)
+        # The one helper behind every closed form that analyze reports.
+        monkeypatch.setattr(extrema, "_closed_forms", broken)
         rc, out, err = run(capsys, "analyze", "--config", cfg("cantor_max"))
         assert rc == EXIT_INTERNAL == 5
         assert out == ""

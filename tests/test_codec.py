@@ -71,6 +71,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             StochasticVector((0.3 + 1e-10, 0.3, 0.4))
 
+    def test_sum_tolerance_is_rounding(self):
+        # |fsum - 1| <= eps * fsum(|v|): 1 - 2**-53 passes, 1 - 2**-52 and 1 - 1e-13 do not
+        assert StochasticVector((0.5, 0.5 - 2.0**-53)).s == 2
+        for short in (2.0**-52, 1e-13):
+            with pytest.raises(ValidationError, match="got sum = 0.9999"):
+                StochasticVector((0.5, 0.5 - short))
+        # rationals that sum to 1, each rounded to a double, all pass
+        for den in (3, 7, 10, 1000, 999_983):
+            StochasticVector(tuple(float(Fraction(n, den)) for n in (1, den - 2, 1)))
+
     def test_beta_matches_running_sum(self):
         assert Q4.beta == (0.0, 0.2, 0.2 + 0.4, 0.2 + 0.4 + 0.2)
 
@@ -91,6 +101,15 @@ class TestValidation:
         d = DigitString((np.int64(1), True), (np.uint8(2),), 3)
         assert d == DigitString((1, 1), (2,), 3)
         assert all(type(v) is int for v in (*d.prefix, *d.period))
+
+    def test_non_integral_alphabet_size_rejected(self):
+        # s goes through operator.index like the digits: 3.5 is no alphabet size
+        with pytest.raises(ValidationError, match="alphabet size must be an integer"):
+            DigitString((3,), (0,), 3.5)
+        with pytest.raises(ValidationError, match="alphabet size must be an integer"):
+            digit_frequencies(DigitString((), (1,), 2.5))
+        d = DigitString((1,), (0,), np.int64(3))
+        assert type(d.s) is int and digit_frequencies(d).nu == (1.0, 0.0, 0.0)
 
     def test_empty_period_forbidden(self):
         with pytest.raises(ValidationError):

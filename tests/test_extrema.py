@@ -34,8 +34,9 @@ from qsaffine import (
     preimage_digits,
     preimage_residual_bound,
 )
+from qsaffine import extrema
 from qsaffine.codec import unwalk, unwalk_value, walk
-from qsaffine.config import load_config
+from qsaffine.config import SystemConfig, load_config
 from helpers import (
     CANTOR_MAX,
     DEEP_MIN_S3,
@@ -51,15 +52,22 @@ from helpers import (
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TIGHT = TIGHT_CONFIG.system()
+# max(g[:k]) = 0.99: the witness products barely shrink, so the descents
+# run to their full depth before the early stop of unwalk_value can fire.
+NEAR_CRITICAL = SystemConfig(("1/3", "1/3", "1/3"), ("99/100", "3/10", "-29/100"), "near").system()
 
 
-def reference_certificate(system, samples, depth, seed):
-    """The witness loop written out: one generator per target, preimage_digits, evaluate."""
+def reference_certificate(system, samples, depth, seed, targets=None):
+    """The witness loop written out: preimage_digits and evaluate per target.
+
+    The targets are ``targets`` when given, else one seeded generator each.
+    """
     k = closed_form_regime(system)
     bound = preimage_residual_bound(system, depth)
     max_residual = None
-    for j in range(samples):
-        y = random.Random(seed * 1_000_003 + j).random()
+    if targets is None:
+        targets = [random.Random(seed * 1_000_003 + j).random() for j in range(samples)]
+    for y in targets:
         witness = preimage_digits(system, y, depth)
         assert all(dig < k for dig in witness.prefix)
         residual = abs(evaluate(system, witness).value - y)
@@ -409,16 +417,24 @@ class TestNonInvariance:
         with pytest.raises(ConditionsNotMet):
             non_invariance_certificate(IDENTITY_S3, samples=1)
 
-    def test_matches_witness_reference(self):
+    def test_matches_witness_reference(self, monkeypatch):
         bundled = [load_config(CONFIG_DIR / f"{name}.cfg").system() for name in FIGURE_CONFIGS]
         rng = np.random.default_rng(6)
         systems = [s for s in bundled if closed_form_regime(s) is not None]
         assert len(systems) == 4
-        systems += [random_regime_system(rng)[0] for _ in range(8)] + [TIGHT]
+        systems += [random_regime_system(rng)[0] for _ in range(8)] + [TIGHT, NEAR_CRITICAL]
         for system in systems:
             for seed, samples, depth in itertools.product((0, 1, 7), (0, 1, 16, 100), (1, 16, 64, 200)):
                 got = non_invariance_certificate(system, samples, depth=depth, seed=seed)
                 assert got == reference_certificate(system, samples, depth, seed)
+        # Targets the seeded draws miss: 0, 1 and the bracket boundary delta_1,
+        # where unwalk closes with period (0,) and the joined descent walks on.
+        for system in systems:
+            targets = (0.0, 1.0, system.G.delta[1])
+            monkeypatch.setattr(extrema, "_targets", lambda seed, samples, t=targets: t)
+            for depth in (1, 16, 64, 200):
+                got = non_invariance_certificate(system, len(targets), depth=depth)
+                assert got == reference_certificate(system, len(targets), depth, 0, targets)
 
     def test_witness_value_at_closing_targets(self):
         # At y = delta_a the walk closes with period (0,) after digit a (at

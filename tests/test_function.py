@@ -174,9 +174,10 @@ class TestFunctionalEquation:
 class TestCodecWalkPath:
     """``evaluate_at`` and the residual against the ``encode`` -> ``DigitString`` path, bit for bit."""
 
-    # q sums to 1 - 1e-13, inside SUM_TOL: near the right end of a cylinder the residue
+    # q_2 is one ulp below 0.833, so q sums to 1 within the rounding tolerance of
+    # running_sums but beta_2 + q_2 < 1: near the right end of a cylinder the residue
     # clamps to 1 after trailing high digits, so unwalk closes ``..., 2`` with period (2,).
-    SHORT = SelfAffineSystem.from_values((0.3, 0.45, 0.25 - 1e-13), (0.6, 0.9, -0.5))
+    SHORT = SelfAffineSystem.from_values((0.043, 0.124, math.nextafter(0.833, 0.0)), (0.6, 0.9, -0.5))
 
     @staticmethod
     def _stop_count(system, x):
