@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from . import extrema, holder, selfaffine, svgplot
+from . import extrema, holder, selfaffine
 from .codec import DigitString, FrequencyVector, cylinder_bounds, decode, encode
 from .config import SystemConfig, load_config
 from .errors import CertificationError, ConditionsNotMet, QsAffineError, ValidationError
@@ -300,6 +300,8 @@ def _cmd_sample(args, config: SystemConfig, fmt: str) -> str:
     system = config.system()
     rows = selfaffine.sample(system, args.points, depth=args.depth)
     if fmt == "svg":
+        from . import svgplot  # only svg output needs it
+
         b = system.bounds
         label = f"{config.label}: graph of f ({args.points} target points)"
         return svgplot.curve_svg(rows, (0.0, b.m, 1.0, b.M), label)
@@ -319,6 +321,8 @@ def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:
             raise ValidationError(f"{args.steps} construction steps need more than 2**20 intervals")
     stages = extrema.cantor_construction(spec, args.steps, merged=args.merged)
     if fmt == "svg":
+        from . import svgplot  # only svg output needs it
+
         label = f"{config.label}: maximum-set construction, digits {_text(sorted(spec.allowed))}"
         return svgplot.bands_svg(stages, label)
     return "stage,index,left,right\n" + "".join(

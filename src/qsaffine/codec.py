@@ -18,7 +18,8 @@ them, and ``string_sum`` is the one sum of a digit string behind ``decode``
 and ``selfaffine.evaluate``.  Around them sit cylinder intervals, the one
 digit check (``check_digits``), the heads and digit frequencies of a
 ``DigitString``, and the bookkeeping for points with two expansions (a
-terminating one and its twin).
+terminating one and its twin).  ``Frozen`` is the base of the package's
+value types.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import operator
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, islice
 from typing import Callable
 
@@ -74,23 +74,52 @@ def running_sums(values, name: str, admissible: Callable[[float], bool], rule: s
     return values, (0.0, *accumulate(values[:-1]))
 
 
-@dataclass(frozen=True)
-class StochasticVector:
+class Frozen:
+    """Base of the value types: fields set once in ``__init__``, compared by value.
+
+    ``_fields`` names the fields that ``__eq__``, ``__hash__`` and
+    ``__repr__`` read, in order.  ``__init__`` validates its arguments and
+    stores the fields with one ``self.__dict__.update``; assigning or
+    deleting an attribute later raises ``AttributeError``.  Values of
+    different classes never compare equal.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+
+class StochasticVector(Frozen):
     """Partition weights ``q`` with their cumulative offsets ``beta``.
 
     ``beta`` is stored exactly as the running sum of ``q``, so
     ``beta[0] == 0.0`` and ``beta[i+1] - beta[i] == q[i]`` as floats.
     """
 
-    q: tuple[float, ...]
-    beta: tuple[float, ...] = field(init=False)
-    s: int = field(init=False)
+    _fields = ("q", "beta", "s")
 
-    def __post_init__(self) -> None:
-        q, beta = running_sums(self.q, "q", lambda v: 0.0 < v < math.inf, "0 < q < inf")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "s", len(q))
+    def __init__(self, q) -> None:
+        q, beta = running_sums(q, "q", lambda v: 0.0 < v < math.inf, "0 < q < inf")
+        self.__dict__.update(q=q, beta=beta, s=len(q))
 
 
 def check_digits(values, s: int) -> tuple[int, ...]:
@@ -113,8 +142,7 @@ def _primitive_cycle(period: tuple[int, ...]) -> tuple[int, ...]:
     return period
 
 
-@dataclass(frozen=True)
-class DigitString:
+class DigitString(Frozen):
     """An eventually periodic (or truncated) digit sequence over ``{0..s-1}``.
 
     ``period is None`` marks a truncated string: a finite prefix standing for
@@ -126,19 +154,17 @@ class DigitString:
     digit; this is what makes the twin rewrites below well defined.
     """
 
-    prefix: tuple[int, ...]
-    period: tuple[int, ...] | None
-    s: int
+    _fields = ("prefix", "period", "s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, prefix, period, s) -> None:
         try:
-            s = operator.index(self.s)
+            s = operator.index(s)
         except TypeError:
-            raise ValidationError(f"alphabet size must be an integer; got {self.s!r}") from None
+            raise ValidationError(f"alphabet size must be an integer; got {s!r}") from None
         if s < 2:
             raise ValidationError("alphabet size must be at least 2")
-        prefix = check_digits(self.prefix, s)
-        period = None if self.period is None else check_digits(self.period, s)
+        prefix = check_digits(prefix, s)
+        period = None if period is None else check_digits(period, s)
         if period is not None and len(period) == 0:
             raise ValidationError("an empty period is forbidden; use period=None for truncation")
         if period is not None:
@@ -150,9 +176,7 @@ class DigitString:
                 period = [period[-1]] + period[:-1]
             prefix = tuple(prefix)
             period = tuple(period)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "s", s)
+        self.__dict__.update(prefix=prefix, period=period, s=s)
 
     def head(self, n: int) -> tuple[int, ...]:
         """First ``n`` digits: the prefix, then the period repeated."""
@@ -198,8 +222,7 @@ class DigitString:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(Frozen):
     """Observed or limiting digit frequencies.
 
     ``exact`` is set when the frequencies were computed analytically from one
@@ -207,17 +230,15 @@ class FrequencyVector:
     limit); ``n`` records the number of digits actually counted.
     """
 
-    nu: tuple[float, ...]
-    n: int
-    exact: bool
+    _fields = ("nu", "n", "exact")
 
-    def __post_init__(self) -> None:
-        nu = tuple(float(v) for v in self.nu)
+    def __init__(self, nu, n: int, exact: bool) -> None:
+        nu = tuple(float(v) for v in nu)
         if not all(0.0 <= v <= 1.0 for v in nu):
             raise ValidationError("frequencies must be finite and lie in [0, 1]")
-        if self.exact and abs(math.fsum(nu) - 1.0) > SUM_TOL:
+        if exact and abs(math.fsum(nu) - 1.0) > SUM_TOL:
             raise ValidationError("exact frequencies must sum to 1")
-        object.__setattr__(self, "nu", nu)
+        self.__dict__.update(nu=nu, n=n, exact=exact)
 
     @property
     def s(self) -> int:

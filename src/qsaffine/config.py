@@ -17,43 +17,40 @@ a tab but no other C0 control character, nor U+FFFE or U+FFFF, since XML
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .codec import Frozen
 from .errors import ValidationError
 from .selfaffine import SelfAffineSystem
 
 _LABEL_FORBIDDEN = re.compile("[\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Frozen):
     """The spellings of q and g, parsed once to the doubles ``q`` and ``g``.
 
     Construction parses every token (q first, then g) and then checks the
     lengths and the label, so a bad token raises ``ValidationError`` here,
-    not at ``system()``; ``system()`` parses nothing.
+    not at ``system()``; ``system()`` parses nothing.  Equality, hash and
+    repr read the spellings and the label, not the parsed doubles.
     """
 
-    q_text: tuple[str, ...]
-    g_text: tuple[str, ...]
-    label: str
-    q: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    g: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("q_text", "g_text", "label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", tuple(parse_number(t) for t in self.q_text))
-        object.__setattr__(self, "g", tuple(parse_number(t) for t in self.g_text))
-        if len(self.q_text) != len(self.g_text):
+    def __init__(self, q_text: tuple[str, ...], g_text: tuple[str, ...], label: str) -> None:
+        q = tuple(parse_number(t) for t in q_text)
+        g = tuple(parse_number(t) for t in g_text)
+        if len(q_text) != len(g_text):
             raise ValidationError(
-                f"q and g must have equal length; got {len(self.q_text)} and {len(self.g_text)}"
+                f"q and g must have equal length; got {len(q_text)} and {len(g_text)}"
             )
-        if len(self.q_text) < 2:
+        if len(q_text) < 2:
             raise ValidationError("at least 2 entries required in q and g")
-        bad = _LABEL_FORBIDDEN.search(self.label)
+        bad = _LABEL_FORBIDDEN.search(label)
         if bad:
             raise ValidationError(f"label must not contain the character U+{ord(bad.group()):04X}")
+        self.__dict__.update(q_text=q_text, g_text=g_text, label=label, q=q, g=g)
 
     def system(self) -> SelfAffineSystem:
         return SelfAffineSystem.from_values(self.q, self.g)

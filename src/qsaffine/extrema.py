@@ -17,13 +17,13 @@ rather than returning silently.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .codec import (
-    DigitString, StochasticVector, check_digits, twin_representation, unwalk, unwalk_value,
+    DigitString, Frozen, StochasticVector, check_digits, twin_representation, unwalk, unwalk_value,
 )
 from .errors import (
     CertificationError,
@@ -45,8 +45,7 @@ MORAN_XTOL = 1e-14
 PREIMAGE_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class LevelSetDescriptor:
+class LevelSetDescriptor(NamedTuple):
     """Digits whose fixed-point value equals ``y``, and what that certifies.
 
     The digit-restricted set over ``V`` is always a subset of the full level
@@ -62,39 +61,35 @@ class LevelSetDescriptor:
         return len(self.V) >= 2
 
 
-@dataclass(frozen=True)
-class CantorSpec:
+class CantorSpec(Frozen):
     """A digit-restricted set: points of [0, 1] using only ``allowed`` digits."""
 
-    Q: StochasticVector
-    allowed: frozenset[int]
-    dimension: float
+    _fields = ("Q", "allowed", "dimension")
 
-    def __post_init__(self) -> None:
-        allowed = _digit_set(self.allowed, self.Q.s)
-        if not 0.0 <= self.dimension <= 1.0:
+    def __init__(self, Q: StochasticVector, allowed, dimension: float) -> None:
+        allowed = _digit_set(allowed, Q.s)
+        if not 0.0 <= dimension <= 1.0:
             raise ValidationError("dimension must lie in [0, 1]")
-        full = len(allowed) == self.Q.s
-        if (self.dimension == 1.0) != full:
+        full = len(allowed) == Q.s
+        if (dimension == 1.0) != full:
             raise ValidationError("dimension 1 exactly for the full alphabet")
-        if (self.dimension == 0.0) != (len(allowed) == 1):
+        if (dimension == 0.0) != (len(allowed) == 1):
             raise ValidationError("dimension 0 exactly for a singleton digit set")
         residual = abs(
-            math.fsum(self.Q.q[i] ** self.dimension for i in allowed) - 1.0
+            math.fsum(Q.q[i] ** dimension for i in allowed) - 1.0
         )
         if residual > 1e-12:
             raise ValidationError(
                 f"dimension does not solve the Moran equation (residual {residual:.3e})"
             )
-        object.__setattr__(self, "allowed", allowed)
+        self.__dict__.update(Q=Q, allowed=allowed, dimension=dimension)
 
     @property
     def singleton(self) -> bool:
         return len(self.allowed) == 1
 
 
-@dataclass(frozen=True)
-class NonInvarianceReport:
+class NonInvarianceReport(NamedTuple):
     """Desk-scale certificate that f maps a thin set onto all of [0, 1].
 
     ``dimension`` (< 1) is the Hausdorff dimension of the digit-restricted
@@ -264,12 +259,24 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
     return LevelSetDescriptor(y=float(y), V=V)
 
 
+def _count(value, what: str) -> int:
+    """``value`` as a non-negative integer by ``operator.index``; ``ValidationError`` otherwise."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer; got {value!r}") from None
+    if n < 0:
+        raise ValidationError(f"{what} must be non-negative; got {value!r}")
+    return n
+
+
 def level_witness(system: SelfAffineSystem, V, leading_zeros: int = 0) -> DigitString:
     """A point of the (shifted) level set: ``leading_zeros`` zeros, then V cycling."""
+    zeros = _count(leading_zeros, "leading zero count")
     period = tuple(sorted(set(check_digits(V, system.s))))
     if not period:
         raise ValidationError("witness needs a non-empty digit set")
-    return DigitString((0,) * leading_zeros, period, system.s)
+    return DigitString((0,) * zeros, period, system.s)
 
 
 def derived_levels(
@@ -281,8 +288,7 @@ def derived_levels(
     g_0^n, so each y_n inherits a continuum of preimages.  Every returned
     level is certified by evaluating such a witness to within ``tol``.
     """
-    if count < 0:
-        raise ValidationError(f"level count must be non-negative; got {count!r}")
+    count = _count(count, "level count")
     desc = level_set(system, y, tol)
     if not desc.continuum:
         raise PreconditionViolated(

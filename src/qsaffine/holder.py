@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import math
 import operator
-import statistics
-from dataclasses import dataclass
 from typing import Iterable
 
-from .codec import DigitString, FrequencyVector
+from .codec import DigitString, FrequencyVector, Frozen
 from .errors import (
     AlphabetMismatch,
     HypothesisViolated,
@@ -38,25 +36,30 @@ from .selfaffine import SelfAffineSystem
 AT_EXPONENT_NOTE = "certified below the exponent; behaviour exactly at it is undetermined"
 
 
-@dataclass(frozen=True)
-class HolderReport:
-    exponent: float
-    kind: str  # global | local_unary | local_binary | almost_everywhere | empirical
-    frequencies_used: FrequencyVector | None = None
-    regression_points: int | None = None
-    note: str = AT_EXPONENT_NOTE
+class HolderReport(Frozen):
+    """An exponent and the kind of point it holds at."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in {
-            "global",
-            "local_unary",
-            "local_binary",
-            "almost_everywhere",
-            "empirical",
-        }:
-            raise ValidationError(f"unknown report kind {self.kind!r}")
-        if not self.exponent >= 0.0:
-            raise ValidationError(f"exponent must be non-negative; got {self.exponent!r}")
+    _fields = ("exponent", "kind", "frequencies_used", "regression_points", "note")
+
+    def __init__(
+        self,
+        exponent: float,
+        kind: str,  # global | local_unary | local_binary | almost_everywhere | empirical
+        frequencies_used: FrequencyVector | None = None,
+        regression_points: int | None = None,
+        note: str = AT_EXPONENT_NOTE,
+    ) -> None:
+        if kind not in {"global", "local_unary", "local_binary", "almost_everywhere", "empirical"}:
+            raise ValidationError(f"unknown report kind {kind!r}")
+        if not exponent >= 0.0:
+            raise ValidationError(f"exponent must be non-negative; got {exponent!r}")
+        self.__dict__.update(
+            exponent=exponent,
+            kind=kind,
+            frequencies_used=frequencies_used,
+            regression_points=regression_points,
+            note=note,
+        )
 
 
 def global_exponent(system: SelfAffineSystem) -> HolderReport:
@@ -144,7 +147,10 @@ def empirical_exponent(
     if len(rank_list) == 1:
         slope = log_o[0] / log_w[0]
     else:
-        slope = statistics.linear_regression(log_w, log_o).slope
+        # Imported here: only the regression needs statistics, which is slow to import.
+        from statistics import linear_regression
+
+        slope = linear_regression(log_w, log_o).slope
     return HolderReport(
         exponent=slope,
         kind="empirical",

@@ -23,12 +23,11 @@ the digits it loses to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 from .codec import (
-    EPS, DigitString, StochasticVector, check_alphabet, running_sums, string_sum, unwalk, unwalk_into,
+    EPS, DigitString, Frozen, StochasticVector, check_alphabet, running_sums, string_sum, unwalk, unwalk_into,
 )
 from .errors import CertificationError, InvalidDigit, ValidationError
 
@@ -37,57 +36,52 @@ DEPTH_TARGET = 1e-12
 DEPTH_CAP = 4096
 
 
-@dataclass(frozen=True)
-class AffineCoefficients:
+class AffineCoefficients(Frozen):
     """Signed vertical ratios ``g`` with cumulative offsets ``delta``."""
 
-    g: tuple[float, ...]
-    delta: tuple[float, ...] = field(init=False)
-    s: int = field(init=False)
+    _fields = ("g", "delta", "s")
 
-    def __post_init__(self) -> None:
-        g, delta = running_sums(self.g, "g", lambda v: 0.0 < abs(v) < 1.0, "0 < |g| < 1")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "s", len(g))
+    def __init__(self, g) -> None:
+        g, delta = running_sums(g, "g", lambda v: 0.0 < abs(v) < 1.0, "0 < |g| < 1")
+        self.__dict__.update(g=g, delta=delta, s=len(g))
 
 
-@dataclass(frozen=True)
-class BoundsPair:
+class BoundsPair(Frozen):
     """Certified global bounds ``m <= f <= M``.
 
     ``iterations`` counts the solver's policy steps and ``residual`` bounds
     the distance of ``m`` and ``M`` from the exact fixed point of the hull.
     """
 
-    m: float
-    M: float
-    iterations: int
-    residual: float
+    _fields = ("m", "M", "iterations", "residual")
 
-    def __post_init__(self) -> None:
-        if not (self.m <= 1e-12 and self.M >= 1.0 - 1e-12):
+    def __init__(self, m: float, M: float, iterations: int, residual: float) -> None:
+        if not (m <= 1e-12 and M >= 1.0 - 1e-12):
             raise ValidationError(
-                f"bounds must bracket the attained values f(0)=0, f(1)=1; got ({self.m}, {self.M})"
+                f"bounds must bracket the attained values f(0)=0, f(1)=1; got ({m}, {M})"
             )
+        self.__dict__.update(m=m, M=M, iterations=iterations, residual=residual)
 
     @property
     def span(self) -> float:
         return self.M - self.m
 
 
-@dataclass(frozen=True)
-class SelfAffineSystem:
-    """A validated (weights, ratios) pair defining one function."""
+class SelfAffineSystem(Frozen):
+    """A validated (weights, ratios) pair defining one function.
 
-    Q: StochasticVector
-    G: AffineCoefficients
+    ``bounds``, ``logs`` and ``default_depth`` are computed on first use and
+    cached in the instance ``__dict__``; they take no part in equality.
+    """
 
-    def __post_init__(self) -> None:
-        if self.Q.s != self.G.s:
+    _fields = ("Q", "G")
+
+    def __init__(self, Q: StochasticVector, G: AffineCoefficients) -> None:
+        if Q.s != G.s:
             raise ValidationError(
-                f"weights and ratios disagree on alphabet size: {self.Q.s} vs {self.G.s}"
+                f"weights and ratios disagree on alphabet size: {Q.s} vs {G.s}"
             )
+        self.__dict__.update(Q=Q, G=G)
 
     @classmethod
     def from_values(cls, q, g) -> "SelfAffineSystem":

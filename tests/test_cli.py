@@ -24,6 +24,8 @@ from qsaffine.svgplot import _fc
 from helpers import TIGHT_CONFIG, random_admissible_system, random_regime_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+#: The environment of a child interpreter that imports this checkout's package.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(qsaffine.__file__).resolve().parents[1]))
 
 
 def run(capsys, *argv):
@@ -387,13 +389,48 @@ class TestModuleEntry:
     def test_python_m_matches_main(self, capsys):
         argv = ["eval", "--config", cfg("cantor_max"), "--x", "0.3"]
         rc, out, _ = run(capsys, *argv)
-        env = dict(os.environ, PYTHONPATH=str(Path(qsaffine.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "qsaffine.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (rc, out)
         assert rc == 0 and out.startswith("value ")
+
+
+class TestColdStart:
+    """Fresh interpreters.  The suite imports every module up front, so only a
+    child process sees a module that a command imports when it runs."""
+
+    def test_cli_import_leaves_out_the_deferred_modules(self):
+        deferred = ("dataclasses", "inspect", "statistics", "qsaffine.svgplot")
+        # only what the import itself loads: interpreter start-up may load more
+        code = (
+            "import sys; before = set(sys.modules); import qsaffine.cli; "
+            "print(*[m for m in sys.argv[1:] if m in sys.modules and m not in before])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *deferred],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--config", cfg("cantor_max"), "--points", "64", "--format", "svg"],
+            ["cantor", "--config", cfg("cantor_max"), "--steps", "3", "--format", "svg"],
+            ["holder", "--config", cfg("rough_s3"), "--digits", "1,(0,2)", "--ranks", "1:24"],
+        ],
+        ids=["sample-svg", "cantor-svg", "holder-digits"],
+    )
+    def test_child_matches_main(self, capsys, argv):
+        rc, out, _ = run(capsys, *argv)
+        code = "import sys; from qsaffine.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, env=CHILD_ENV, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (rc, out.encode("utf-8"))
+        assert rc == 0 and out
 
 
 class TestRoundTrips:

@@ -217,6 +217,22 @@ class TestDerivedLevels:
         with pytest.raises(ValidationError):
             derived_levels(LEVEL_SETS, 0.625, -1)
 
+    def test_non_integral_count_rejected(self):
+        # range() would raise a bare TypeError
+        with pytest.raises(ValidationError, match="level count must be an integer; got 2.5"):
+            derived_levels(LEVEL_SETS, 0.625, 2.5)
+        assert derived_levels(LEVEL_SETS, 0.625, np.int64(1)) == derived_levels(LEVEL_SETS, 0.625, 1)
+
+    def test_negative_leading_zeros_rejected(self):
+        # (0,) * -3 is (), which gave the unshifted witness (1,2)
+        with pytest.raises(ValidationError, match="leading zero count must be non-negative; got -3"):
+            level_witness(LEVEL_SETS, {1, 2}, leading_zeros=-3)
+
+    def test_non_integral_leading_zeros_rejected(self):
+        with pytest.raises(ValidationError, match="leading zero count must be an integer; got 1.5"):
+            level_witness(LEVEL_SETS, {1, 2}, leading_zeros=1.5)
+        assert level_witness(LEVEL_SETS, {1, 2}, leading_zeros=np.int64(2)) == DigitString((0, 0), (1, 2), 5)
+
     def test_witness_rejects_non_integral_digits(self):
         # the class a digit outside the alphabet raises, from the DigitString built
         with pytest.raises(InvalidDigit):
