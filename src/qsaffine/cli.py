@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import extrema, holder, selfaffine
-from .codec import DigitString, FrequencyVector, cylinder_bounds, decode, encode
+from .codec import DigitString, FrequencyVector, check_count, cylinder_bounds, decode, encode
 from .config import SystemConfig, load_config
 from .errors import CertificationError, ConditionsNotMet, QsAffineError, ValidationError
 
@@ -144,10 +143,9 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     ``level_set`` per level row, ``closed_form_max``/``closed_form_min``,
     ``maxima_set`` and the ``holder`` exponents and predicates.
     """
-    if depth is not None and depth < 1:
-        raise ValidationError("depth must be at least 1")
-    if not 0.0 <= tolerance < math.inf:
-        raise ValidationError(f"level tolerance must be finite and non-negative; got {tolerance!r}")
+    extrema._check_tolerance(tolerance)
+    if depth is not None:
+        depth = check_count(depth, "depth", 1)
     system = config.system()
     g = system.G.g
     forms = extrema._closed_forms(system)

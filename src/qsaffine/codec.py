@@ -16,10 +16,10 @@ value and ``unwalk`` descends greedily from a value back to digits
 digits of x composed under f's maps); ``selfaffine`` and ``extrema`` reuse
 them, and ``string_sum`` is the one sum of a digit string behind ``decode``
 and ``selfaffine.evaluate``.  Around them sit cylinder intervals, the one
-digit check (``check_digits``), the heads and digit frequencies of a
-``DigitString``, and the bookkeeping for points with two expansions (a
-terminating one and its twin).  ``Frozen`` is the base of the package's
-value types.
+digit check (``check_digits``), the one count check (``check_count``), the
+heads and digit frequencies of a ``DigitString``, and the bookkeeping for
+points with two expansions (a terminating one and its twin).  ``Frozen`` is
+the base of the package's value types.
 """
 
 from __future__ import annotations
@@ -122,6 +122,23 @@ class StochasticVector(Frozen):
         self.__dict__.update(q=q, beta=beta, s=len(q))
 
 
+def check_count(value, what: str, least: int) -> int:
+    """``value`` as an integer of at least ``least`` by ``operator.index``; 2.5 raises ``ValidationError``.
+
+    Every count, depth and rank the package reads goes through here, so
+    ``True`` and ``numpy.int64(3)`` pass as 1 and 3.  ``what`` names the
+    argument in the message.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer; got {value!r}") from None
+    if n < least:
+        floor = "non-negative" if least == 0 else f"at least {least}"
+        raise ValidationError(f"{what} must be {floor}; got {value!r}")
+    return n
+
+
 def check_digits(values, s: int) -> tuple[int, ...]:
     """``values`` as digits below ``s`` by ``operator.index``: 1.9 raises ``InvalidDigit``."""
     try:
@@ -157,12 +174,7 @@ class DigitString(Frozen):
     _fields = ("prefix", "period", "s")
 
     def __init__(self, prefix, period, s) -> None:
-        try:
-            s = operator.index(s)
-        except TypeError:
-            raise ValidationError(f"alphabet size must be an integer; got {s!r}") from None
-        if s < 2:
-            raise ValidationError("alphabet size must be at least 2")
+        s = check_count(s, "alphabet size", 2)
         prefix = check_digits(prefix, s)
         period = None if period is None else check_digits(period, s)
         if period is not None and len(period) == 0:
@@ -180,8 +192,7 @@ class DigitString(Frozen):
 
     def head(self, n: int) -> tuple[int, ...]:
         """First ``n`` digits: the prefix, then the period repeated."""
-        if n < 0:
-            raise ValidationError("digit count must be non-negative")
+        n = check_count(n, "digit count", 0)
         digits = tuple(islice(chain(self.prefix, cycle(self.period or ())), n))
         if len(digits) < n:
             raise InsufficientDepth(
@@ -273,7 +284,7 @@ def unwalk(t: float, offsets, scales, depth: int, top: tuple[int, ...] | None):
     period ``(0,)``, one of exactly 1 with ``top`` when given; after
     ``depth`` digits the period is None (truncated).
     """
-    t = _descent_start(t, depth)
+    t, depth = _descent_start(t, depth)
     digits: list[int] = []
     for _ in range(depth):
         if t == 0.0:
@@ -311,7 +322,7 @@ def unwalk_value(t: float, offsets, scales, depth: int) -> float:
     Adding such a term rounds back to ``acc``, so no later step can change
     it, and the bits are those of the full walk.
     """
-    t = _descent_start(t, depth)
+    t, depth = _descent_start(t, depth)
     fixed = offsets[-1] * 2.0**55
     acc, prod = 0.0, 1.0
     for _ in range(depth):
@@ -344,7 +355,7 @@ def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: flo
     worth 1.  So ``(acc, prod)`` are the bits ``selfaffine.evaluate`` gives
     ``encode(t, ..., n)``, with ``prod`` times the span as its bound.
     """
-    t = _descent_start(t, depth)
+    t, depth = _descent_start(t, depth)
     hi = len(offsets) - 1
     acc, prod = 0.0, 1.0
     acc_r, prod_r = acc, prod  # the state before the trailing run of hi digits
@@ -368,13 +379,12 @@ def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: flo
     return acc, prod, depth
 
 
-def _descent_start(t: float, depth: int) -> float:
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
+def _descent_start(t: float, depth: int) -> tuple[float, int]:
+    depth = check_count(depth, "depth", 1)
     t = float(t)
     if math.isnan(t) or t < 0.0 or t > 1.0:
         raise OutOfDomain(f"value {t!r} outside [0, 1]")
-    return t
+    return t, depth
 
 
 def string_sum(prefix, period, offsets, scales) -> tuple[float, float]:
@@ -470,9 +480,8 @@ def digit_frequencies(d: DigitString, n: int | None = None) -> FrequencyVector:
         if d.period is None:
             raise InsufficientDepth("limit frequencies need an exact (periodic) string")
         digits, n, exact = d.period, len(d.period), True
-    elif n < 1:
-        raise ValidationError("frequency prefix length must be at least 1")
     else:
+        n = check_count(n, "frequency prefix length", 1)
         digits, exact = d.head(n), False
     return FrequencyVector(tuple(digits.count(i) / n for i in range(d.s)), n=n, exact=exact)
 

@@ -16,7 +16,6 @@ a tab but no other C0 control character, nor U+FFFE or U+FFFF, since XML
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +23,11 @@ from .codec import Frozen
 from .errors import ValidationError
 from .selfaffine import SelfAffineSystem
 
-_LABEL_FORBIDDEN = re.compile("[\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]")
+
+def _label_forbidden(c: str) -> bool:
+    """Whether XML cannot hold ``c``: a C0 control but tab, a surrogate, U+FFFE or U+FFFF."""
+    n = ord(c)
+    return (n < 0x20 and n != 0x09) or 0xD800 <= n <= 0xDFFF or n in (0xFFFE, 0xFFFF)
 
 
 class SystemConfig(Frozen):
@@ -47,9 +50,9 @@ class SystemConfig(Frozen):
             )
         if len(q_text) < 2:
             raise ValidationError("at least 2 entries required in q and g")
-        bad = _LABEL_FORBIDDEN.search(label)
-        if bad:
-            raise ValidationError(f"label must not contain the character U+{ord(bad.group()):04X}")
+        for c in label:
+            if _label_forbidden(c):
+                raise ValidationError(f"label must not contain the character U+{ord(c):04X}")
         self.__dict__.update(q_text=q_text, g_text=g_text, label=label, q=q, g=g)
 
     def system(self) -> SelfAffineSystem:

@@ -17,13 +17,13 @@ rather than returning silently.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from functools import lru_cache
 from typing import NamedTuple
 
 from .codec import (
-    DigitString, Frozen, StochasticVector, check_digits, twin_representation, unwalk, unwalk_value,
+    DigitString, Frozen, StochasticVector, check_count, check_digits, twin_representation, unwalk,
+    unwalk_value,
 )
 from .errors import (
     CertificationError,
@@ -241,6 +241,12 @@ def closed_form_min(system: SelfAffineSystem) -> float:
     return _regime_forms(system).m
 
 
+def _check_tolerance(tol: float) -> None:
+    """The level tolerance check of ``level_set`` and ``cli.build_analysis``."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"level tolerance must be finite and non-negative; got {tol!r}")
+
+
 def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> LevelSetDescriptor:
     """Digits i with ``delta_i / (1 - g_i) = y`` within ``tol``.
 
@@ -248,8 +254,7 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
     telescopes through the shrinking products), so with two or more such
     digits the level set has the cardinality of the continuum.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"level tolerance must be finite and non-negative; got {tol!r}")
+    _check_tolerance(tol)
     if not math.isfinite(y):
         raise ValidationError(f"level value must be finite; got {y!r}")
     g, delta = system.G.g, system.G.delta
@@ -259,20 +264,9 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
     return LevelSetDescriptor(y=float(y), V=V)
 
 
-def _count(value, what: str) -> int:
-    """``value`` as a non-negative integer by ``operator.index``; ``ValidationError`` otherwise."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer; got {value!r}") from None
-    if n < 0:
-        raise ValidationError(f"{what} must be non-negative; got {value!r}")
-    return n
-
-
 def level_witness(system: SelfAffineSystem, V, leading_zeros: int = 0) -> DigitString:
     """A point of the (shifted) level set: ``leading_zeros`` zeros, then V cycling."""
-    zeros = _count(leading_zeros, "leading zero count")
+    zeros = check_count(leading_zeros, "leading zero count", 0)
     period = tuple(sorted(set(check_digits(V, system.s))))
     if not period:
         raise ValidationError("witness needs a non-empty digit set")
@@ -288,7 +282,7 @@ def derived_levels(
     g_0^n, so each y_n inherits a continuum of preimages.  Every returned
     level is certified by evaluating such a witness to within ``tol``.
     """
-    count = _count(count, "level count")
+    count = check_count(count, "level count", 0)
     desc = level_set(system, y, tol)
     if not desc.continuum:
         raise PreconditionViolated(
@@ -332,8 +326,7 @@ def cantor_construction(
     proper subset).  ``merged=True`` joins touching intervals, which is the
     usual way the stages are drawn.
     """
-    if steps < 1:
-        raise ValidationError("at least one construction step required")
+    steps = check_count(steps, "construction step count", 1)
     V = sorted(spec.allowed)
     beta, q = spec.Q.beta, spec.Q.q
     stages: list[list[tuple[float, float]]] = []
@@ -380,8 +373,7 @@ def preimage_residual_bound(system: SelfAffineSystem, depth: int) -> float:
     relative error of about ``j * eps``), so an exact witness passes even
     where the truncation term falls below double rounding.
     """
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
+    depth = check_count(depth, "depth", 1)
     k = _require_regime(system)
     g_star = max(system.G.g[:k])
     scale = max(1.0, max(abs(d) for d in system.G.delta))
@@ -429,8 +421,7 @@ def non_invariance_certificate(
     witness up to the sign of a zero.
     """
     k = _require_regime(system)
-    if samples < 0:
-        raise ValidationError("sample count must be non-negative")
+    samples = check_count(samples, "sample count", 0)
     v_star = frozenset(range(k))
     dim = moran_dimension(system.Q, v_star)
     if not dim < 1.0:

@@ -22,7 +22,7 @@ import math
 import operator
 from typing import Iterable
 
-from .codec import DigitString, FrequencyVector, Frozen
+from .codec import DigitString, FrequencyVector, Frozen, check_count
 from .errors import (
     AlphabetMismatch,
     HypothesisViolated,
@@ -128,8 +128,8 @@ def empirical_exponent(
     A single requested rank returns the direct ratio, anchored at the empty
     cylinder whose logs are (0, 0).
     """
-    rank_list = sorted(set(int(r) for r in ranks))
-    if not rank_list or rank_list[0] < 1:
+    rank_list = sorted({check_count(r, "rank", 1) for r in ranks})
+    if not rank_list:
         raise ValidationError("ranks must be a non-empty collection of integers >= 1")
     digits = d.head(rank_list[-1])  # InsufficientDepth for short truncated input
     log_w = []

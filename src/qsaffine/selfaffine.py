@@ -27,9 +27,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .codec import (
-    EPS, DigitString, Frozen, StochasticVector, check_alphabet, running_sums, string_sum, unwalk, unwalk_into,
+    EPS, DigitString, Frozen, StochasticVector, check_alphabet, check_count, encode, running_sums, string_sum,
+    unwalk_into,
 )
-from .errors import CertificationError, InvalidDigit, ValidationError
+from .errors import CertificationError, ValidationError
 
 #: Truncation accuracy target of ``evaluate_at`` and hard cap on ``default_depth``.
 DEPTH_TARGET = 1e-12
@@ -191,26 +192,6 @@ def global_bounds(system: SelfAffineSystem) -> BoundsPair:
     return system.bounds
 
 
-def _sum(system: SelfAffineSystem, digits, period) -> Evaluation:
-    """f at ``digits`` followed by ``period`` (None: truncated), as ``evaluate`` defines it.
-
-    Trailing digits equal to a one-digit period are dropped first, as the
-    canonical form of ``DigitString`` drops them: ``codec.unwalk`` can close
-    ``..., s-1`` with period ``(s-1,)``, and walking those digits would round
-    differently from the closed-form tail.
-    """
-    delta, g = system.G.delta, system.G.g
-    if period is not None and len(period) == 1:
-        n = len(digits)
-        while n and digits[n - 1] == period[0]:
-            n -= 1
-        digits = digits[:n]
-    acc, prod = string_sum(digits, period, delta, g)
-    if period is None:
-        return Evaluation(acc, system.bounds.span * abs(prod))
-    return Evaluation(acc, 0.0)
-
-
 def evaluate(system: SelfAffineSystem, d: DigitString) -> Evaluation:
     """f at the point with digits ``d``, summed by ``codec.string_sum`` as ``decode`` sums x.
 
@@ -220,7 +201,10 @@ def evaluate(system: SelfAffineSystem, d: DigitString) -> Evaluation:
     consumed digits.
     """
     check_alphabet(d, system.s)
-    return _sum(system, d.prefix, d.period)
+    acc, prod = string_sum(d.prefix, d.period, system.G.delta, system.G.g)
+    if d.period is None:
+        return Evaluation(acc, system.bounds.span * abs(prod))
+    return Evaluation(acc, 0.0)
 
 
 def evaluate_at(system: SelfAffineSystem, x: float, depth: int | None = None) -> Evaluation:
@@ -253,19 +237,14 @@ def functional_equation_residual(
 
     The left-hand point is represented exactly by prepending digit ``i`` to
     the digits of ``x`` (that is what the affinity map does to expansions),
-    so the residual measures evaluation consistency, not input rounding.
-    One ``codec.unwalk`` gives ``depth`` (default ``default_depth``) digits
-    and both sides are summed as ``evaluate`` sums them; the residual equals
-    that of ``evaluate`` on ``encode(...)`` and its ``prepend(i)``, bit for
-    bit.
+    so the residual measures evaluation consistency, not input rounding:
+    ``evaluate`` of ``d = encode(x, Q, depth)`` (default ``default_depth``
+    digits) and of ``d.prepend(i)``, which raises ``InvalidDigit`` for an
+    ``i`` outside the alphabet.
     """
-    if not 0 <= i < system.s:
-        raise InvalidDigit(f"digit {i} outside alphabet of size {system.s}")
-    Q, n = system.Q, depth if depth is not None else system.default_depth
-    digits, period = unwalk(x, Q.beta, Q.q, n, (Q.s - 1,))
-    lhs = _sum(system, (i, *digits), period).value
-    tail = _sum(system, digits, period).value
-    return abs(lhs - system.G.delta[i] - system.G.g[i] * tail)
+    d = encode(x, system.Q, depth if depth is not None else system.default_depth)
+    lhs = evaluate(system, d.prepend(i)).value
+    return abs(lhs - system.G.delta[i] - system.G.g[i] * evaluate(system, d).value)
 
 
 def variation_lower_bound(system: SelfAffineSystem, n: int) -> float:
@@ -275,8 +254,7 @@ def variation_lower_bound(system: SelfAffineSystem, n: int) -> float:
     power; with any negative ratio the base exceeds 1 and the variation is
     unbounded.  A power beyond the largest double raises ``ValidationError``.
     """
-    if n < 1:
-        raise ValidationError("rank must be at least 1")
+    n = check_count(n, "rank", 1)
     base = math.fsum(abs(v) for v in system.G.g)
     try:
         return base**n
@@ -329,11 +307,8 @@ def sample(
     bounds: the grid alone cannot get close, since f approaches its extrema
     only at its (often tiny) local regularity exponent.
     """
-    if points < 2:
-        raise ValidationError("at least 2 sample points required")
-    if depth is not None and depth < 1:
-        raise ValidationError("depth must be at least 1")
-    cap = depth if depth is not None else DEPTH_CAP
+    points = check_count(points, "point count", 2)
+    cap = DEPTH_CAP if depth is None else check_count(depth, "depth", 1)
     thresh = 1.0 / (points - 1)
     q, beta = system.Q.q, system.Q.beta
     g, delta = system.G.g, system.G.delta

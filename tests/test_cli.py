@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -637,6 +638,13 @@ class TestSvgLabels:
         rc, out, _ = run(capsys, "cantor", "--config", config, "--steps", "2", "--format", "svg")
         assert rc == 0
         assert self.title(out).startswith("a\tb: ")
+
+    def test_label_check_matches_the_old_pattern_on_the_bmp(self):
+        # the regex the per-character test replaced, kept as its reference
+        old = re.compile("[\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]")
+        for n in range(0x10000):
+            c = chr(n)
+            assert qsaffine.config._label_forbidden(c) == bool(old.search(c)), hex(n)
 
 
 class TestConfigParsing:
