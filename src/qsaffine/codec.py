@@ -10,16 +10,17 @@ sequence ``a_1 a_2 ...`` sums to
 
 The self-affine function is the same construction, with digit ``d`` acting
 as ``t -> offset_d + scale_d * t``: ``(beta, q)`` gives x, ``(delta, g)``
-gives f.  This module owns both walks: ``walk`` composes the maps into a
-value and ``unwalk`` descends greedily from a value back to digits
-(``unwalk_value`` joins the two for one map pair, ``unwalk_into`` for the
-digits of x composed under f's maps); ``selfaffine`` and ``extrema`` reuse
-them, and ``string_sum`` is the one sum of a digit string behind ``decode``
-and ``selfaffine.evaluate``.  Around them sit cylinder intervals, the one
-digit check (``check_digits``), the one count check (``check_count``), the
-heads and digit frequencies of a ``DigitString``, and the bookkeeping for
-points with two expansions (a terminating one and its twin).  ``Frozen`` is
-the base of the package's value types.
+gives f.  ``walk`` composes the maps of digits into a value, and
+``string_sum`` (the one sum of a digit string, behind ``decode`` and
+``selfaffine.evaluate``) adds a period.  The digits of x come from one
+greedy descent, ``unwalk_into``, which composes a second map pair and can
+keep its digits: ``encode`` keeps them, ``selfaffine.evaluate_at`` composes
+f's maps.  ``unwalk`` serves y only, under f's maps, and ``unwalk_value``
+joins it with ``walk`` for ``extrema``.  Around them sit cylinder
+intervals, the one digit check (``check_digits``), the one count check
+(``check_count``), the heads and digit frequencies of a ``DigitString``,
+and the bookkeeping for points with two expansions (a terminating one and
+its twin).  ``Frozen`` is the base of the package's value types.
 """
 
 from __future__ import annotations
@@ -238,12 +239,13 @@ class FrequencyVector(Frozen):
 
     ``exact`` is set when the frequencies were computed analytically from one
     period of an exact string (the finite prefix does not contribute to the
-    limit); ``n`` records the number of digits actually counted.
+    limit); ``n`` records the number of digits actually counted (0: given).
     """
 
     _fields = ("nu", "n", "exact")
 
     def __init__(self, nu, n: int, exact: bool) -> None:
+        n = check_count(n, "counted digit count", 0)
         nu = tuple(float(v) for v in nu)
         if not all(0.0 <= v <= 1.0 for v in nu):
             raise ValidationError("frequencies must be finite and lie in [0, 1]")
@@ -275,22 +277,21 @@ def walk(digits, offsets, scales) -> tuple[float, float]:
     return acc, prod
 
 
-def unwalk(t: float, offsets, scales, depth: int, top: tuple[int, ...] | None):
+def unwalk(t: float, offsets, scales, depth: int):
     """Greedy inverse of ``walk``: ``(digits, period)`` of ``t`` in [0, 1].
 
     Each step takes the digit ``d`` with ``offsets[d] <= t < offsets[d+1]``
     (the larger digit on a tie) and renormalizes ``t`` to ``(t - offsets[d])
     / scales[d]``, clamped to [0, 1].  A residue of exactly 0 closes with
-    period ``(0,)``, one of exactly 1 with ``top`` when given; after
-    ``depth`` digits the period is None (truncated).
+    period ``(0,)``; after ``depth`` digits the period is None (truncated).
+    It serves y only (``extrema.preimage_digits``, over the digits below k,
+    so it has no all-high close); the digits of x come from ``unwalk_into``.
     """
     t, depth = _descent_start(t, depth)
     digits: list[int] = []
     for _ in range(depth):
         if t == 0.0:
             return tuple(digits), (0,)
-        if t == 1.0 and top is not None:
-            return tuple(digits), top
         d = bisect_right(offsets, t) - 1
         digits.append(d)
         t = (t - offsets[d]) / scales[d]
@@ -304,10 +305,10 @@ def unwalk(t: float, offsets, scales, depth: int, top: tuple[int, ...] | None):
 def unwalk_value(t: float, offsets, scales, depth: int) -> float:
     """The value ``walk`` gives the greedy digits of ``t``, with no digits kept.
 
-    One descent that takes the digits of ``unwalk(t, offsets, scales, depth,
-    None)`` and composes their maps as it goes, so it equals
-    ``walk(unwalk(t, offsets, scales, depth, None)[0], offsets, scales)[0]``
-    bit for bit: the same digits, and the same float operations in the same
+    One descent that takes the digits of ``unwalk(t, offsets, scales,
+    depth)`` and composes their maps as it goes, so it equals
+    ``walk(unwalk(t, offsets, scales, depth)[0], offsets, scales)[0]`` bit
+    for bit: the same digits, and the same float operations in the same
     order.  As in every descent of the library, ``offsets`` ascend from
     ``offsets[0] == 0`` and ``scales[d]`` lies in (0, 1) for each digit
     ``d`` the descent can take, so ``acc >= 0`` and ``prod > 0`` only
@@ -340,33 +341,37 @@ def unwalk_value(t: float, offsets, scales, depth: int) -> float:
     return acc
 
 
-def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: float):
-    """Compose, under ``(values, ratios)``, the greedy digits of ``t`` under ``(offsets, scales)``.
+def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: float, digits=None):
+    """The one descent of x: greedy digits of ``t`` under ``(offsets, scales)``, composed under ``(values, ratios)``.
 
-    One descent: each step takes a digit of ``t`` as ``unwalk`` does (top
-    period ``(s-1,)``) and composes its map ``u -> values[d] + ratios[d] * u``
-    in the same step.  It walks at most ``depth`` digits and stops early,
+    Each step takes a digit as ``unwalk`` does, appends it to the list
+    ``digits`` when one is given, and composes its map ``u -> values[d] +
+    ratios[d] * u``.  It walks at most ``depth`` digits and stops early,
     before the next digit, once ``|prod| <= stop`` (a negative ``stop``
-    never fires).  Returns ``(acc, prod, n)``: the composed value, the scale
-    left on the unknown tail and the digits walked.  A close is exact and
-    leaves ``prod = 0.0``: a residue of 0 keeps ``acc`` (the ``(0,)`` tail
-    adds a signed zero) and one of 1 gives ``acc_r + prod_r``, the state
-    before the trailing run of high digits with the all-high tail, which is
-    worth 1.  So ``(acc, prod)`` are the bits ``selfaffine.evaluate`` gives
-    ``encode(t, ..., n)``, with ``prod`` times the span as its bound.
+    never fires).  Returns ``(acc, prod, period)``: the composed value, the
+    scale left on the unknown tail, and the period that closed the digits,
+    or None when they are truncated (their ``prod`` can underflow to 0.0
+    too).  A close leaves ``prod = 0.0``: a residue of 0 closes with ``(0,)``
+    and keeps ``acc`` (the tail adds a signed zero), one of 1 closes with
+    ``(s-1,)`` and gives ``acc_r + prod_r``, the state before the trailing
+    run of high digits with the all-high tail, which is worth 1.  So
+    ``(acc, prod)`` are the bits ``selfaffine.evaluate`` gives ``encode(t,
+    ..., n)``, with ``prod`` times the span as its bound.
     """
     t, depth = _descent_start(t, depth)
     hi = len(offsets) - 1
     acc, prod = 0.0, 1.0
     acc_r, prod_r = acc, prod  # the state before the trailing run of hi digits
-    for n in range(depth):
+    for _ in range(depth):
         if t == 0.0:
-            return acc, 0.0, n
+            return acc, 0.0, (0,)
         if t == 1.0:
-            return acc_r + prod_r, 0.0, n
+            return acc_r + prod_r, 0.0, (hi,)
         if abs(prod) <= stop:
-            return acc, prod, n
+            return acc, prod, None
         d = bisect_right(offsets, t) - 1
+        if digits is not None:
+            digits.append(d)
         acc += values[d] * prod
         prod *= ratios[d]
         t = (t - offsets[d]) / scales[d]
@@ -376,7 +381,7 @@ def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: flo
             t = 1.0
         if d != hi:
             acc_r, prod_r = acc, prod
-    return acc, prod, depth
+    return acc, prod, None
 
 
 def _descent_start(t: float, depth: int) -> tuple[float, int]:
@@ -426,7 +431,7 @@ def decode(d: DigitString, Q: StochasticVector) -> float:
 
 
 def encode(x: float, Q: StochasticVector, depth: int) -> DigitString:
-    """Greedy cylinder descent producing up to ``depth`` digits of ``x``.
+    """Up to ``depth`` digits of ``x``: those ``unwalk_into`` takes under ``(beta, q)``.
 
     At each step the digit ``i`` with ``beta_i <= t < beta_{i+1}`` is chosen;
     a tie at an exact boundary takes the larger digit, so terminating points
@@ -435,7 +440,8 @@ def encode(x: float, Q: StochasticVector, depth: int) -> DigitString:
     otherwise the truncated prefix is returned and ``decode`` of the result
     is within ``prod q_{a_j}`` of ``x``.
     """
-    digits, period = unwalk(x, Q.beta, Q.q, depth, (Q.s - 1,))
+    digits: list[int] = []
+    period = unwalk_into(x, Q.beta, Q.q, Q.beta, Q.q, depth, -1.0, digits)[2]
     return DigitString(digits, period, Q.s)
 
 

@@ -393,7 +393,7 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
     y, and all its digits stay below k.
     """
     k = _require_regime(system)
-    digits, period = unwalk(y, system.G.delta[:k], system.G.g, depth, None)
+    digits, period = unwalk(y, system.G.delta[:k], system.G.g, depth)
     return DigitString(digits, period, system.s)
 
 

@@ -53,6 +53,8 @@ class HolderReport(Frozen):
             raise ValidationError(f"unknown report kind {kind!r}")
         if not exponent >= 0.0:
             raise ValidationError(f"exponent must be non-negative; got {exponent!r}")
+        if regression_points is not None:
+            regression_points = check_count(regression_points, "regression point count", 1)
         self.__dict__.update(
             exponent=exponent,
             kind=kind,

@@ -22,6 +22,10 @@ SINGULAR_S3 = system((0.5, 0.3, 0.2), (0.2, 0.9, -0.1))
 ROUGH_S3 = system((0.4, 0.4, 0.2), (2 / 3, 2 / 3, -1 / 3))
 DEEP_MIN_S3 = system((0.3, 0.45, 0.25), (0.6, 0.9, -0.5))
 IDENTITY_S3 = system((0.5, 0.25, 0.25), (0.5, 0.25, 0.25))
+# q_2 is one ulp below 0.833, so q sums to 1 within the rounding tolerance of
+# running_sums but beta_2 + q_2 < 1: near the right end of a cylinder the residue
+# clamps to 1 after trailing high digits, so the descent closes ``..., 2`` with period (2,).
+SHORT_S3 = system((0.043, 0.124, math.nextafter(0.833, 0.0)), (0.6, 0.9, -0.5))
 # Low-digit ratios so small that (M - m) * max(g[:k])**64 is about 5e-21,
 # far below the rounding of the witness sums the certificate checks.
 TIGHT_CONFIG = SystemConfig(
@@ -96,6 +100,25 @@ def random_regime_system(
         tail = tuple(float(x) for x in v)
     g = closing(tuple(float(x) for x in w) + (gk,) + tail)
     return SelfAffineSystem.from_values(random_weights(rng, s), g), k
+
+
+def greedy_digits(x: float, Q, depth: int) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """Raw ``(digits, period)`` of x's top-closing greedy descent, before canonical form.
+
+    The digit rule ``encode`` documents, written apart from the codec: the
+    largest digit with ``beta_d <= t`` (a linear scan, no bisect), the
+    residue ``(t - beta_d) / q_d`` clamped to [0, 1], a close with period
+    ``(0,)`` at a residue of exactly 0 and ``(s-1,)`` at exactly 1, and
+    period None after ``depth`` digits.
+    """
+    t, digits = float(x), []
+    for _ in range(depth):
+        if t in (0.0, 1.0):
+            return tuple(digits), (0,) if t == 0.0 else (Q.s - 1,)
+        d = max(i for i in range(Q.s) if Q.beta[i] <= t)
+        digits.append(d)
+        t = min(max((t - Q.beta[d]) / Q.q[d], 0.0), 1.0)
+    return tuple(digits), None
 
 
 def random_exact_string(

@@ -22,6 +22,8 @@ from qsaffine import (
     evaluate,
     twin_representation,
 )
+from qsaffine.codec import unwalk_into, walk
+from helpers import SHORT_S3, greedy_digits, random_admissible_system
 
 Q4 = StochasticVector((0.2, 0.4, 0.2, 0.2))
 Q2 = StochasticVector((0.5, 0.5))
@@ -212,6 +214,57 @@ class TestEncode:
             bound *= Q.q[dig]
         assert abs(decode(d, Q) - x) <= bound + 1e-13
         assert bound <= max(Q.q) ** len(d.prefix) + 1e-15
+
+
+class TestEncodeMatchesReference:
+    """``encode`` equals the canonical form of ``helpers.greedy_digits``, an independent descent."""
+
+    # The composed width 0.3**a * 0.7**b of 2000 digits underflows to 0.0.
+    UNDERFLOW = StochasticVector((0.3, 0.7))
+
+    @staticmethod
+    def _reference(x, Q, n):
+        return DigitString(*greedy_digits(x, Q, n), Q.s)
+
+    @given(pick=st.sampled_from(("short", "underflow")) | st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_reference(self, pick, data):
+        rng = np.random.default_rng(pick if isinstance(pick, int) else 0)
+        if pick == "underflow":
+            Q, depth = self.UNDERFLOW, st.just(2000)
+        else:
+            system = SHORT_S3 if pick == "short" else random_admissible_system(rng)
+            Q, depth = system.Q, st.integers(1, system.default_depth)
+        base = data.draw(st.lists(st.integers(0, Q.s - 1), min_size=1, max_size=6))
+        left, right, _ = cylinder_bounds(base, Q)
+        ends = (left, min(right, 1.0))
+        near = tuple(min(max(math.nextafter(e, to), 0.0), 1.0) for e in ends for to in (0.0, 1.0))
+        x = data.draw(st.sampled_from((float(rng.random()), *ends, *near)) | st.floats(0.0, 1.0))
+        n = data.draw(depth)
+        assert encode(x, Q, n) == self._reference(x, Q, n)
+
+    def test_high_closes_match_reference(self):
+        # the trailing-high closes the canonical form strips do occur on SHORT_S3
+        rng = np.random.default_rng(21)
+        Q, closes = SHORT_S3.Q, 0
+        for _ in range(200):
+            base = [int(v) for v in rng.integers(0, Q.s, size=int(rng.integers(1, 6)))]
+            x = math.nextafter(min(cylinder_bounds(base, Q)[1], 1.0), 0.0)
+            for n in (1, 7, SHORT_S3.default_depth):
+                digits, period = greedy_digits(x, Q, n)
+                closes += period == (Q.s - 1,) and digits[-1:] == (Q.s - 1,)
+                assert encode(x, Q, n) == self._reference(x, Q, n)
+        assert closes >= 100
+
+    def test_truncated_at_underflowing_width(self):
+        # A truncated descent whose width underflows is still truncated: the close is
+        # reported by the descent, not read off a zero product.
+        Q = self.UNDERFLOW
+        for x in np.random.default_rng(4).random(20):
+            d = encode(float(x), Q, 2000)
+            assert d == self._reference(float(x), Q, 2000)
+            assert d.period is None and walk(d.prefix, Q.beta, Q.q)[1] == 0.0
+            _, prod, period = unwalk_into(float(x), Q.beta, Q.q, Q.beta, Q.q, 2000, -1.0)
+            assert (prod, period) == (0.0, None)
 
 
 class TestTwins:

@@ -11,6 +11,8 @@ import pytest
 from qsaffine import (
     CantorSpec,
     DigitString,
+    FrequencyVector,
+    HolderReport,
     InvalidDigit,
     SystemConfig,
     ValidationError,
@@ -67,6 +69,12 @@ SITES = {
     ),
     "empirical_exponent.ranks": (lambda n: empirical_exponent(CANTOR_MAX, DIGITS, [n, 4]), "rank", 1, 2),
     "build_analysis.depth": (lambda n: build_analysis(CONFIG, LEVEL_TOL, n), "depth", 1, 6),
+    "FrequencyVector.n": (
+        lambda n: FrequencyVector((0.5, 0.5), n=n, exact=False), "counted digit count", 0, 4,
+    ),
+    "HolderReport.regression_points": (
+        lambda n: HolderReport(1.0, "empirical", regression_points=n), "regression point count", 1, 3,
+    ),
 }
 
 

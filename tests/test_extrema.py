@@ -461,7 +461,7 @@ class TestNonInvariance:
             k = closed_form_regime(system)
             delta, g = system.G.delta, system.G.g
             for y in [d for d in delta[:k] if d <= 1.0]:
-                digits, period = unwalk(y, delta[:k], g, 64, None)
+                digits, period = unwalk(y, delta[:k], g, 64)
                 assert period == (0,)
                 assert walk(digits, delta, g)[0] == evaluate(system, preimage_digits(system, y, 64)).value
 
@@ -472,7 +472,7 @@ class TestNonInvariance:
         system, k = random_regime_system(np.random.default_rng(seed))
         delta, g = system.G.delta, system.G.g
         for t in (y, 0.0, 1.0, *(d for d in delta[:k] if d <= 1.0)):
-            digits, _ = unwalk(t, delta[:k], g, depth, None)
+            digits, _ = unwalk(t, delta[:k], g, depth)
             assert all(d < k for d in digits)
 
     @given(seed=st.integers(0, 2**32 - 1), y=st.floats(0.0, 1.0), depth=st.sampled_from((1, 16, 64, 200)))
@@ -485,7 +485,7 @@ class TestNonInvariance:
         offsets = system.G.delta[:k]
         for g in (system.G.g, tuple(0.75 * v for v in system.G.g)):
             for t in (y, 0.0, 1.0, *(d for d in system.G.delta if 0.0 <= d <= 1.0)):
-                digits, _ = unwalk(t, offsets, g, depth, None)
+                digits, _ = unwalk(t, offsets, g, depth)
                 expected = walk(digits, offsets, g)[0]
                 assert struct.pack("<d", unwalk_value(t, offsets, g, depth)) == struct.pack("<d", expected)
 

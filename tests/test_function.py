@@ -28,11 +28,13 @@ from helpers import (
     IDENTITY_S3,
     LEVEL_SETS,
     ROUGH_S3,
+    SHORT_S3,
     SINGULAR_S3,
     exact_hull_bounds,
+    greedy_digits,
     random_admissible_system,
 )
-from qsaffine.codec import unwalk, unwalk_into
+from qsaffine.codec import unwalk_into
 from qsaffine.config import load_config
 from qsaffine.selfaffine import DEPTH_TARGET, EPS
 
@@ -174,17 +176,14 @@ class TestFunctionalEquation:
 class TestCodecWalkPath:
     """``evaluate_at`` and the residual against the ``encode`` -> ``DigitString`` path, bit for bit."""
 
-    # q_2 is one ulp below 0.833, so q sums to 1 within the rounding tolerance of
-    # running_sums but beta_2 + q_2 < 1: near the right end of a cylinder the residue
-    # clamps to 1 after trailing high digits, so unwalk closes ``..., 2`` with period (2,).
-    SHORT = SelfAffineSystem.from_values((0.043, 0.124, math.nextafter(0.833, 0.0)), (0.6, 0.9, -0.5))
+    SHORT = SHORT_S3  # reaches the close at 1 after trailing high digits
 
     @staticmethod
     def _stop_count(system, x):
         """Digits ``evaluate_at(system, x)`` walks: the first n with
         ``|prod g| <= DEPTH_TARGET / span``, or the close, or ``default_depth``."""
         Q, cap = system.Q, system.default_depth
-        digits, _ = unwalk(x, Q.beta, Q.q, cap, (Q.s - 1,))
+        digits, _ = greedy_digits(x, Q, cap)
         stop = DEPTH_TARGET / system.bounds.span
         prod = 1.0
         for n, d in enumerate(digits):
@@ -222,7 +221,7 @@ class TestCodecWalkPath:
                         old_r = self._old_residual(system, i, x, depth)
                         assert struct.pack("<d", new_r) == struct.pack("<d", old_r), (x, depth, i)
                     if system is self.SHORT:
-                        digits, period = unwalk(x, system.Q.beta, system.Q.q, n, (s - 1,))
+                        digits, period = greedy_digits(x, system.Q, n)
                         high_closes += period == (s - 1,) and digits[-1:] == (s - 1,)
         assert high_closes >= 10  # the closes that need the trailing-digit drop did occur
         assert early_stops >= 250  # and so did stops before the cap
@@ -244,11 +243,14 @@ class TestAdaptiveStop:
             Q, G, span, cap = system.Q, system.G, system.bounds.span, system.default_depth
             for x in rng.random(24):
                 stop = DEPTH_TARGET / span
-                acc, prod, n = unwalk_into(float(x), Q.beta, Q.q, G.delta, G.g, cap, stop)
+                digits = []
+                acc, prod, period = unwalk_into(float(x), Q.beta, Q.q, G.delta, G.g, cap, stop, digits)
                 value, bound = evaluate_at(system, float(x))
                 assert (value, bound) == (acc, span * abs(prod))
+                assert period is None or prod == 0.0
+                n = len(digits)
                 assert n <= cap
-                if prod != 0.0 and n < cap:  # truncated before the cap: stopped early
+                if period is None and n < cap:  # truncated before the cap: stopped early
                     early += 1
                     assert 0.0 < bound < DEPTH_TARGET
         assert early >= 500
@@ -277,7 +279,7 @@ class TestAdaptiveStop:
             for _ in range(12):
                 base = [int(v) for v in rng.integers(0, s, size=int(rng.integers(1, 5)))]
                 x = cylinder_bounds(base, Q)[0]
-                digits, period = unwalk(x, Q.beta, Q.q, system.default_depth, (s - 1,))
+                digits, period = greedy_digits(x, Q, system.default_depth)
                 if period is None:
                     assert system is not dyadic
                     continue  # the float descent missed the left end (ROADMAP item 1)
