@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import extrema, holder, selfaffine
-from .codec import DigitString, FrequencyVector, check_count, cylinder_bounds, decode, encode
+from .codec import DigitString, FrequencyVector, check_count, decode, encode, walk
 from .config import SystemConfig, load_config
 from .errors import CertificationError, ConditionsNotMet, QsAffineError, ValidationError
 
@@ -331,7 +331,7 @@ def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:
 
 def _point_error(d: DigitString, Q) -> float:
     """Error bound of the point of ``d``: 0 if periodic, its cylinder's width if truncated."""
-    return 0.0 if d.period is not None else cylinder_bounds(d.prefix, Q)[2]
+    return 0.0 if d.period is not None else walk(d.prefix, Q.beta, Q.q)[1]
 
 
 def _cmd_encode(args, config: SystemConfig, fmt: str) -> str:

@@ -20,7 +20,9 @@ joins it with ``walk`` for ``extrema``.  Around them sit cylinder
 intervals, the one digit check (``check_digits``), the one count check
 (``check_count``), the heads and digit frequencies of a ``DigitString``,
 and the bookkeeping for points with two expansions (a terminating one and
-its twin).  ``Frozen`` is the base of the package's value types.
+its twin).  Digits are checked once, where they enter: at the public
+``DigitString`` constructor and at the one digit ``prepend`` adds.
+``Frozen`` is the base of the package's value types.
 """
 
 from __future__ import annotations
@@ -152,14 +154,6 @@ def check_digits(values, s: int) -> tuple[int, ...]:
     return digits
 
 
-def _primitive_cycle(period: tuple[int, ...]) -> tuple[int, ...]:
-    r = len(period)
-    for d in range(1, r + 1):
-        if r % d == 0 and period[: d] * (r // d) == period:
-            return period[: d]
-    return period
-
-
 class DigitString(Frozen):
     """An eventually periodic (or truncated) digit sequence over ``{0..s-1}``.
 
@@ -170,6 +164,11 @@ class DigitString(Frozen):
     canonical form a string ending in period ``(0,)`` never has a trailing 0
     in its prefix, and one ending in ``(s-1,)`` never has a trailing high
     digit; this is what makes the twin rewrites below well defined.
+
+    The constructor checks ``s`` and every digit; ``prepend`` checks its one
+    new digit.  Strings the library builds from digits it has checked come
+    from ``_from_checked``, which skips both checks.  Both reach the
+    canonical form through ``_store``.
     """
 
     _fields = ("prefix", "period", "s")
@@ -178,17 +177,27 @@ class DigitString(Frozen):
         s = check_count(s, "alphabet size", 2)
         prefix = check_digits(prefix, s)
         period = None if period is None else check_digits(period, s)
-        if period is not None and len(period) == 0:
-            raise ValidationError("an empty period is forbidden; use period=None for truncation")
+        self._store(prefix, period, s)
+
+    @classmethod
+    def _from_checked(cls, prefix, period, s) -> "DigitString":
+        """The string of int tuples already below ``s``, a checked size: no digit or count check."""
+        d = object.__new__(cls)
+        d._store(prefix, period, s)
+        return d
+
+    def _store(self, prefix: tuple[int, ...], period: tuple[int, ...] | None, s: int) -> None:
+        """Set the fields in canonical form: the primitive cycle, then the prefix tail absorbed."""
         if period is not None:
-            period = _primitive_cycle(period)
-            prefix = list(prefix)
-            period = list(period)
-            while prefix and prefix[-1] == period[-1]:
-                prefix.pop()
-                period = [period[-1]] + period[:-1]
-            prefix = tuple(prefix)
-            period = tuple(period)
+            if not period:
+                raise ValidationError("an empty period is forbidden; use period=None for truncation")
+            n = len(period)
+            r = next(k for k in range(1, n + 1) if period[:k] * (n // k) == period)
+            cut = len(prefix)
+            while cut and prefix[cut - 1] == period[(cut - len(prefix) - 1) % r]:
+                cut -= 1
+            k = (cut - len(prefix)) % r  # each absorbed digit rotates the cycle right by one
+            prefix, period = prefix[:cut], period[k:r] + period[:k]
         self.__dict__.update(prefix=prefix, period=period, s=s)
 
     def head(self, n: int) -> tuple[int, ...]:
@@ -202,7 +211,8 @@ class DigitString(Frozen):
         return digits
 
     def prepend(self, digit: int) -> "DigitString":
-        return DigitString((digit, *self.prefix), self.period, self.s)
+        """The string with ``digit`` in front; only ``digit`` goes through ``check_digits``."""
+        return self._from_checked((*check_digits((digit,), self.s), *self.prefix), self.period, self.s)
 
     def to_text(self) -> str:
         """Render as ``"1,3,(0,2)"``; a missing parenthesized tail means truncated."""
@@ -240,6 +250,7 @@ class FrequencyVector(Frozen):
     ``exact`` is set when the frequencies were computed analytically from one
     period of an exact string (the finite prefix does not contribute to the
     limit); ``n`` records the number of digits actually counted (0: given).
+    Every vector lies in [0, 1] entrywise and sums to 1 within ``SUM_TOL``.
     """
 
     _fields = ("nu", "n", "exact")
@@ -249,8 +260,8 @@ class FrequencyVector(Frozen):
         nu = tuple(float(v) for v in nu)
         if not all(0.0 <= v <= 1.0 for v in nu):
             raise ValidationError("frequencies must be finite and lie in [0, 1]")
-        if exact and abs(math.fsum(nu) - 1.0) > SUM_TOL:
-            raise ValidationError("exact frequencies must sum to 1")
+        if abs(math.fsum(nu) - 1.0) > SUM_TOL:
+            raise ValidationError("frequencies must sum to 1")
         self.__dict__.update(nu=nu, n=n, exact=exact)
 
     @property
@@ -442,7 +453,7 @@ def encode(x: float, Q: StochasticVector, depth: int) -> DigitString:
     """
     digits: list[int] = []
     period = unwalk_into(x, Q.beta, Q.q, Q.beta, Q.q, depth, -1.0, digits)[2]
-    return DigitString(digits, period, Q.s)
+    return DigitString._from_checked(tuple(digits), period, Q.s)
 
 
 def twin_representation(d: DigitString) -> DigitString | None:
@@ -459,7 +470,7 @@ def twin_representation(d: DigitString) -> DigitString | None:
         return None  # truncated, an interior period, or the points 0 and 1
     up = d.period == high
     last = d.prefix[-1] + (1 if up else -1)
-    return DigitString(d.prefix[:-1] + (last,), low if up else high, d.s)
+    return DigitString._from_checked(d.prefix[:-1] + (last,), low if up else high, d.s)
 
 
 def cylinder_bounds(base, Q: StochasticVector) -> tuple[float, float, float]:

@@ -270,7 +270,7 @@ def level_witness(system: SelfAffineSystem, V, leading_zeros: int = 0) -> DigitS
     period = tuple(sorted(set(check_digits(V, system.s))))
     if not period:
         raise ValidationError("witness needs a non-empty digit set")
-    return DigitString((0,) * zeros, period, system.s)
+    return DigitString._from_checked((0,) * zeros, period, system.s)
 
 
 def derived_levels(
@@ -394,7 +394,7 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
     """
     k = _require_regime(system)
     digits, period = unwalk(y, system.G.delta[:k], system.G.g, depth)
-    return DigitString(digits, period, system.s)
+    return DigitString._from_checked(digits, period, system.s)
 
 
 @lru_cache(maxsize=8)

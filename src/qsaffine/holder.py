@@ -81,8 +81,6 @@ def local_exponent_unary(system: SelfAffineSystem, nu: FrequencyVector) -> Holde
         raise AlphabetMismatch(
             f"frequency vector of length {nu.s} used with alphabet {system.s}"
         )
-    if abs(math.fsum(nu.nu) - 1.0) > 1e-12:
-        raise HypothesisViolated("frequencies must sum to 1")
     if nu.nu[0] >= 1.0 or nu.nu[-1] >= 1.0:
         raise HypothesisViolated(
             "frequency formula requires nu_0 < 1 and nu_{s-1} < 1"

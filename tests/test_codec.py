@@ -20,10 +20,20 @@ from qsaffine import (
     digit_frequencies,
     encode,
     evaluate,
+    level_witness,
+    preimage_digits,
     twin_representation,
 )
-from qsaffine.codec import unwalk_into, walk
-from helpers import SHORT_S3, greedy_digits, random_admissible_system
+from qsaffine.codec import unwalk, unwalk_into, walk
+from helpers import (
+    CANTOR_MAX,
+    LEVEL_SETS,
+    SHORT_S3,
+    greedy_digits,
+    random_admissible_system,
+    random_binary_point,
+    random_regime_system,
+)
 
 Q4 = StochasticVector((0.2, 0.4, 0.2, 0.2))
 Q2 = StochasticVector((0.5, 0.5))
@@ -131,6 +141,13 @@ class TestCanonicalForm:
         assert d.prefix == () and d.period == (0, 1)
         d = DigitString((2, 1), (0, 1), 3)
         assert d.prefix == (2,) and d.period == (1, 0)
+
+    def test_prepend_to_empty_prefix_rotates_the_period(self):
+        # a new digit equal to the period's last digit is absorbed: the cycle rotates
+        d = DigitString((), (1, 2), 3).prepend(2)
+        assert d == DigitString((2,), (1, 2), 3) and (d.prefix, d.period) == ((), (2, 1))
+        assert DigitString((), (2,), 3).prepend(2) == DigitString((2,), (2,), 3) == DigitString((), (2,), 3)
+        assert DigitString((), (0,), 3).prepend(0) == DigitString((0,), (0,), 3) == DigitString((), (0,), 3)
 
     def test_text_round_trip(self):
         for text in ("1,3,(0,2)", "(2)", "1,3", "0,(1)"):
@@ -293,6 +310,73 @@ class TestTwins:
         assert abs(decode(d, Q) - decode(t, Q)) <= 1e-12
         # the rewrite is an involution
         assert twin_representation(t) == d
+
+
+class TestCheckedPath:
+    """Strings the library builds skip the digit checks, yet equal what ``DigitString`` builds.
+
+    Each check compares a library-built string, field for field and type for
+    type, with the public constructor on the digits it was built from.
+    """
+
+    @staticmethod
+    def _same(d, prefix, period):
+        ref = DigitString(prefix, period, d.s)
+        got, want = (d.prefix, d.period, d.s), (ref.prefix, ref.period, ref.s)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+    @given(pick=st.just("short") | st.integers(0, 2**32 - 1), data=st.data())
+    def test_encode(self, pick, data):
+        rng = np.random.default_rng(pick if isinstance(pick, int) else 0)
+        system = SHORT_S3 if pick == "short" else random_admissible_system(rng)
+        Q = system.Q
+        base = data.draw(st.lists(st.integers(0, Q.s - 1), min_size=1, max_size=6))
+        left, right, _ = cylinder_bounds(base, Q)
+        ends = (left, min(right, 1.0))
+        near = tuple(min(max(math.nextafter(e, to), 0.0), 1.0) for e in ends for to in (0.0, 1.0))
+        xs = (0.0, 1.0, float(rng.random()), data.draw(st.floats(0.0, 1.0)), *ends, *near)
+        for x in xs:
+            for n in (1, 7, system.default_depth):
+                digits: list[int] = []
+                period = unwalk_into(x, Q.beta, Q.q, Q.beta, Q.q, n, -1.0, digits)[2]
+                self._same(encode(x, Q, n), digits, period)
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_preimage_digits(self, seed, data):
+        system, k = random_regime_system(np.random.default_rng(seed))
+        delta = system.G.delta[:k]
+        y = data.draw(st.sampled_from((0.0, 1.0, *(v for v in delta if v <= 1.0))) | st.floats(0.0, 1.0))
+        depth = data.draw(st.sampled_from((1, 7, 64)))
+        self._same(preimage_digits(system, y, depth), *unwalk(y, delta, system.G.g, depth))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_twin_representation(self, seed):
+        rng = np.random.default_rng(seed)
+        low = random_binary_point(rng, int(rng.integers(2, 7)))
+        high = twin_representation(low)
+        self._same(high, low.prefix[:-1] + (low.prefix[-1] - 1,), (low.s - 1,))
+        self._same(twin_representation(high), high.prefix[:-1] + (high.prefix[-1] + 1,), (0,))
+
+    @given(drawn=any_strings())
+    def test_prepend_every_digit(self, drawn):
+        d = drawn[0]
+        for digit in range(d.s):
+            self._same(d.prepend(digit), (digit, *d.prefix), d.period)
+
+    @given(system=st.sampled_from((CANTOR_MAX, LEVEL_SETS, SHORT_S3)), data=st.data())
+    def test_level_witness(self, system, data):
+        V = data.draw(st.sets(st.integers(0, system.s - 1), min_size=1))
+        zeros = data.draw(st.integers(0, 4))
+        self._same(level_witness(system, V, zeros), (0,) * zeros, tuple(sorted(V)))
+
+    def test_prepend_checks_its_digit(self):
+        d = DigitString((1,), (0, 2), 3)
+        with pytest.raises(InvalidDigit, match="^a digit must be an integer: "):
+            d.prepend(1.5)
+        for bad in (-1, 3):
+            with pytest.raises(InvalidDigit, match=f"^digit {bad} outside alphabet of size 3$"):
+                d.prepend(bad)
 
 
 class TestCylinders:
