@@ -35,7 +35,8 @@ ANALYZE_SEED = 0
 ANALYZE_TOL = 1e-12
 #: Largest ``--depth``, and ``--ranks`` end, any command accepts: every digit requested is walked.
 MAX_DEPTH = 2**16
-#: Largest ``sample --points``: the rows grow linearly with it (2**17 gives about 376k rows).
+#: Largest ``sample --points``; on the bundled configs 2**17 gives at most about 376k rows.
+#: Skewed weights need far more, and ``selfaffine.SAMPLE_ROW_CAP`` caps the rows themselves.
 MAX_POINTS = 2**17
 
 TEXT = ("text", "json")

@@ -1,6 +1,6 @@
 """Digit codec for weighted expansions of numbers in [0, 1].
 
-A positive weight vector ``q = (q_0, ..., q_{s-1})`` with sum 1 splits
+A weight vector ``q = (q_0, ..., q_{s-1})`` in (0, 1) with sum 1 splits
 ``[0, 1]`` into ``s`` subintervals of lengths ``q_i`` placed at the cumulative
 offsets ``beta_i = q_0 + ... + q_{i-1}``.  Iterating the split assigns every
 point an infinite digit sequence over ``{0, ..., s-1}``; conversely a digit
@@ -112,8 +112,10 @@ class Frozen:
 
 
 class StochasticVector(Frozen):
-    """Partition weights ``q`` with their cumulative offsets ``beta``.
+    """Partition weights ``q`` (each ``0 < q_i < 1``) with their cumulative offsets ``beta``.
 
+    A weight of 1 leaves its digit map uncontracted (``log q = 0``), so
+    the expansion would never narrow x down.
     ``beta`` is stored exactly as the running sum of ``q``, so
     ``beta[0] == 0.0`` and ``beta[i+1] - beta[i] == q[i]`` as floats.
     """
@@ -121,7 +123,7 @@ class StochasticVector(Frozen):
     _fields = ("q", "beta", "s")
 
     def __init__(self, q) -> None:
-        q, beta = running_sums(q, "q", lambda v: 0.0 < v < math.inf, "0 < q < inf")
+        q, beta = running_sums(q, "q", lambda v: 0.0 < v < 1.0, "0 < q < 1")
         self.__dict__.update(q=q, beta=beta, s=len(q))
 
 

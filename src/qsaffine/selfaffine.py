@@ -23,7 +23,10 @@ the digits it loses to rounding.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property
+from itertools import islice, repeat
+from operator import lt
 from typing import NamedTuple
 
 from .codec import (
@@ -35,6 +38,8 @@ from .errors import CertificationError, ValidationError
 #: Truncation accuracy target of ``evaluate_at`` and hard cap on ``default_depth``.
 DEPTH_TARGET = 1e-12
 DEPTH_CAP = 4096
+#: Most leaves ``sample`` may hold; skewed weights need far more leaves than points.
+SAMPLE_ROW_CAP = 2**21
 
 
 class AffineCoefficients(Frozen):
@@ -300,35 +305,71 @@ def sample(
 ) -> list[tuple[float, float, float]]:
     """Deterministic graph samples ``(x, f(x), error_bound)`` sorted by x.
 
-    Cylinders are subdivided until their width drops to ``1/(points-1)`` and
-    f is evaluated exactly at every left endpoint (plus x = 1), so all error
-    bounds are 0.  On top of the grid, one point near the maximum and one
-    near the minimum are refined to within ``(M - m)/points`` of the certified
-    bounds: the grid alone cannot get close, since f approaches its extrema
-    only at its (often tiny) local regularity exponent.
+    Cylinders are subdivided until their width drops to ``1/(points-1)`` (or
+    ``depth`` digits), and f is evaluated exactly at every left endpoint
+    (plus x = 1), so all error bounds are 0.  On top of the grid, one point
+    near the maximum and one near the minimum are refined to within
+    ``(M - m)/points`` of the certified bounds: the grid alone cannot get
+    close, since f approaches its extrema only at its (often tiny) local
+    regularity exponent.
+
+    The walk is depth first with digits ascending, so the leaves come out in
+    digit order and their left ends normally ascend strictly.  When two of
+    them round to the same double, the first in digit order wins; the point
+    at x = 1 and the refined extremes never displace a leaf at the same x.
+    Once the walk holds more than ``SAMPLE_ROW_CAP`` leaves it stops and
+    raises ``ValidationError``: skewed weights need far more leaves than
+    points (q = (0.999, 0.001) needs about 10^6 at 4096 points).
     """
     points = check_count(points, "point count", 2)
     cap = DEPTH_CAP if depth is None else check_count(depth, "depth", 1)
     thresh = 1.0 / (points - 1)
     q, beta = system.Q.q, system.Q.beta
     g, delta = system.G.g, system.G.delta
-    s = system.s
-    out: dict[float, float] = {}
+    qmax = max(q)
+    leaf_maps = tuple(zip(beta, delta))
+    child_maps = tuple(zip(beta, q, delta, g))[::-1]  # pushed reversed: pop order ascending
+    xs: list[float] = []
+    fs: list[float] = []
+    add_x, add_f = xs.append, fs.append
     stack: list[tuple[float, float, float, float, int]] = [(0.0, 1.0, 0.0, 1.0, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        x, qp, fa, gp, rank = stack.pop()
-        if qp <= thresh or rank >= cap:
-            out.setdefault(x, fa)
-            continue
-        for dig in range(s - 1, -1, -1):  # reversed: pop order ascending
-            stack.append((x + qp * beta[dig], qp * q[dig], fa + gp * delta[dig], gp * g[dig], rank + 1))
-    out.setdefault(1.0, 1.0)
-    b = system.bounds
-    tol = b.span / points
+        x, qp, fa, gp, rank = pop()
+        if qp <= thresh:
+            add_x(x)
+            add_f(fa)
+        elif qp * qmax <= thresh or rank + 1 >= cap:
+            # Every child is a leaf: write their left ends and values in place.
+            for b, d in leaf_maps:
+                add_x(x + qp * b)
+                add_f(fa + gp * d)
+            if len(xs) > SAMPLE_ROW_CAP:
+                break
+        else:
+            rank += 1
+            for b, qd, d, gd in child_maps:
+                push((x + qp * b, qp * qd, fa + gp * d, gp * gd, rank))
+    if len(xs) > SAMPLE_ROW_CAP:
+        raise ValidationError(f"sampling at {points} points needs more than {SAMPLE_ROW_CAP} rows")
+    if not all(map(lt, xs, islice(xs, 1, None))):
+        # Two left ends rounded to one double.  Filled in reverse, the dict
+        # keeps the first leaf in digit order at each x; then sort by x.
+        first = dict(zip(reversed(xs), reversed(fs)))
+        xs, fs = map(list, zip(*sorted(first.items())))
+
+    def add(x: float, f: float) -> None:
+        i = bisect_left(xs, x)
+        if i == len(xs) or xs[i] != x:
+            xs.insert(i, x)
+            fs.insert(i, f)
+
+    add(1.0, 1.0)
+    tol = system.bounds.span / points
     hi_x, hi_f = _extreme_descent(system, True, tol, cap)
-    if hi_f > max(out.values()):
-        out.setdefault(hi_x, hi_f)
+    if hi_f > max(fs):
+        add(hi_x, hi_f)
     lo_x, lo_f = _extreme_descent(system, False, tol, cap)
-    if lo_f < min(out.values()):
-        out.setdefault(lo_x, lo_f)
-    return [(x, f, 0.0) for x, f in sorted(out.items())]
+    if lo_f < min(fs):
+        add(lo_x, lo_f)
+    return list(zip(xs, fs, repeat(0.0)))

@@ -203,3 +203,51 @@ def exact_hull_bounds(system: SelfAffineSystem) -> tuple[Fraction, Fraction]:
         if min(lo) < m:
             b = lo.index(min(lo))
     raise AssertionError("exact policy iteration did not settle")
+
+
+def reference_leaves(system: SelfAffineSystem, points: int, depth: int | None = None):
+    """Left ends and values ``[(x, f)]`` of the cylinders ``sample`` stops at, in digit order.
+
+    One stack walk over every cylinder, pushing children in reversed digit
+    order and testing each popped node for a leaf.
+    """
+    from qsaffine.selfaffine import DEPTH_CAP
+
+    cap = DEPTH_CAP if depth is None else depth
+    thresh = 1.0 / (points - 1)
+    q, beta = system.Q.q, system.Q.beta
+    g, delta = system.G.g, system.G.delta
+    leaves = []
+    stack = [(0.0, 1.0, 0.0, 1.0, 0)]
+    while stack:
+        x, qp, fa, gp, rank = stack.pop()
+        if qp <= thresh or rank >= cap:
+            leaves.append((x, fa))
+            continue
+        for dig in range(system.s - 1, -1, -1):
+            stack.append((x + qp * beta[dig], qp * q[dig], fa + gp * delta[dig], gp * g[dig], rank + 1))
+    return leaves
+
+
+def reference_sample(system: SelfAffineSystem, points: int, depth: int | None = None):
+    """``selfaffine.sample`` written plainly over ``reference_leaves``, kept as an oracle.
+
+    Each leaf's left end keys a dict (the first leaf in digit order wins a
+    tie), then x = 1 and the refined extremes are added unless their x is
+    taken, and the rows are sorted by x.
+    """
+    from qsaffine.selfaffine import DEPTH_CAP, _extreme_descent
+
+    cap = DEPTH_CAP if depth is None else depth
+    out: dict[float, float] = {}
+    for x, fa in reference_leaves(system, points, depth):
+        out.setdefault(x, fa)
+    out.setdefault(1.0, 1.0)
+    tol = system.bounds.span / points
+    hi_x, hi_f = _extreme_descent(system, True, tol, cap)
+    if hi_f > max(out.values()):
+        out.setdefault(hi_x, hi_f)
+    lo_x, lo_f = _extreme_descent(system, False, tol, cap)
+    if lo_f < min(out.values()):
+        out.setdefault(lo_x, lo_f)
+    return [(x, f, 0.0) for x, f in sorted(out.items())]

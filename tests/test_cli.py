@@ -282,6 +282,26 @@ class TestExitCodes:
         assert rc == 2
         assert json.loads(err)["error"] == error
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["holder", "--binary"],
+            ["holder", "--ae"],
+            ["encode", "--x", "0.3"],
+            ["sample", "--points", "5", "--format", "csv"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]),
+    )
+    def test_weight_of_one_is_2(self, capsys, tmp_path, argv):
+        # 1e-17 + 1 rounds to 1, so the sum passes; a weight of 1 used to give
+        # log q = 0 (ZeroDivisionError), exponent 1.8e15, or a walk to DEPTH_CAP.
+        path = write_config(tmp_path, "q: [1e-17, 1]\ng: [1/2, 1/2]\n")
+        rc, out, err = run(capsys, *argv, "--config", path)
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError" and "0 < q < 1" in diag["message"]
+
     def test_internal_failure_is_5(self, capsys, monkeypatch):
         def broken(system):
             raise CertificationError("closed form disagrees with the bounds solver")
@@ -730,6 +750,15 @@ class TestDepthCap:
         for points in (4096, MAX_POINTS):  # 4096: the figures' point count
             rc, _, _ = run(capsys, *argv, "--points", str(points))
             assert rc == 0 and walked[-1] == points
+
+    def test_rows_above_cap_is_2(self, capsys, tmp_path):
+        # Skewed weights need far more rows than points: about 10^6 at 4096 points.
+        path = write_config(tmp_path, "q: [999/1000, 1/1000]\ng: [1/2, 1/2]\n")
+        rc, out, err = run(capsys, "sample", "--config", path, "--points", "16384", "--format", "csv")
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert diag["error"] == "ValidationError"
+        assert f"more than {selfaffine.SAMPLE_ROW_CAP} rows" in diag["message"]
 
 
 class TestParserCache:

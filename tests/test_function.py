@@ -33,7 +33,10 @@ from helpers import (
     exact_hull_bounds,
     greedy_digits,
     random_admissible_system,
+    reference_leaves,
+    reference_sample,
 )
+from qsaffine import selfaffine
 from qsaffine.codec import unwalk_into
 from qsaffine.config import load_config
 from qsaffine.selfaffine import DEPTH_TARGET, EPS
@@ -406,3 +409,31 @@ class TestSample:
     def test_points_validated(self):
         with pytest.raises(ValidationError):
             sample(IDENTITY_S3, 1)
+
+    @staticmethod
+    def bits(rows):
+        return [struct.pack("<ddd", *row) for row in rows]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        points=st.integers(2, 600),
+        depth=st.one_of(st.none(), st.integers(1, 6)),
+    )
+    def test_rows_match_reference_walk(self, seed, points, depth):
+        system = random_admissible_system(np.random.default_rng(seed))
+        rows = sample(system, points, depth)
+        assert self.bits(rows) == self.bits(reference_sample(system, points, depth))
+
+    @pytest.mark.parametrize("q", [(0.5, 1e-17, 0.5), (1e-17, 0.5, 0.5)])
+    def test_tied_left_ends_take_the_sorting_tail(self, monkeypatch, q):
+        # A cylinder of width 1e-17 has a left end that rounds onto its neighbour's.
+        system = SelfAffineSystem.from_values(q, (0.3, 0.4, 0.3))
+        xs = [x for x, _ in reference_leaves(system, 4096)]
+        assert len(xs) == 8191 and len(set(xs)) < len(xs)
+        sorts = []
+        monkeypatch.setattr(
+            selfaffine, "sorted", lambda items: sorts.append(1) or sorted(items), raising=False
+        )
+        rows = sample(system, 4096)
+        assert sorts == [1]
+        assert self.bits(rows) == self.bits(reference_sample(system, 4096))
