@@ -29,8 +29,6 @@ EXIT_CONDITIONS = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
-ANALYZE_SAMPLES = 16
-ANALYZE_SEED = 0
 #: Tolerance reported with the analytic exponents and the maximum-set dimension.
 ANALYZE_TOL = 1e-12
 #: Largest ``--depth``, and ``--ranks`` end, any command accepts: every digit requested is walked.
@@ -145,8 +143,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     ``maxima_set`` and the ``holder`` exponents and predicates.
     """
     extrema._check_tolerance(tolerance)
-    if depth is not None:
-        depth = check_count(depth, "depth", 1)
+    depth = extrema.PREIMAGE_DEPTH if depth is None else check_count(depth, "depth", 1)
     system = config.system()
     g = system.G.g
     forms = extrema._closed_forms(system)
@@ -193,17 +190,14 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     maxima = None
     non_invariance = None
     if k is not None:
-        spec = extrema.CantorSpec(system.Q, forms.V, extrema.moran_dimension(system.Q, forms.V))
+        spec = extrema.CantorSpec(system.Q, forms.V)
         maxima = {
             "digits": sorted(spec.allowed),
             "dimension": spec.dimension,
             "singleton": spec.singleton,
             "tolerance": ANALYZE_TOL,
         }
-        pre_depth = extrema.PREIMAGE_DEPTH if depth is None else depth
-        report = extrema.non_invariance_certificate(
-            system, samples=ANALYZE_SAMPLES, depth=pre_depth, seed=ANALYZE_SEED
-        )
+        report = extrema.non_invariance_certificate(system, depth=depth)
         non_invariance = {
             "restricted_digits": sorted(report.restricted_digits),
             "dimension": report.dimension,
@@ -310,14 +304,6 @@ def _cmd_sample(args, config: SystemConfig, fmt: str) -> str:
 
 def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:
     spec = extrema.maxima_set(config.system())
-    # Every stage is kept, so the construction holds sum_{t=1..steps} |V|^t
-    # intervals of about 155 bytes each; at most 2**20 of them are allowed.
-    total, stage = 0, 1
-    for _ in range(args.steps):
-        stage *= len(spec.allowed)
-        total += stage
-        if total > 2**20:
-            raise ValidationError(f"{args.steps} construction steps need more than 2**20 intervals")
     stages = extrema.cantor_construction(spec, args.steps, merged=args.merged)
     if fmt == "svg":
         from . import svgplot  # only svg output needs it

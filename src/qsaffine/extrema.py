@@ -41,6 +41,10 @@ LEVEL_TOL = 1e-10
 
 ORACLE_TOL = 1e-10
 MORAN_XTOL = 1e-14
+#: Largest Moran residual ``|sum_{i in V} q_i^x - 1|`` a returned dimension may leave.
+MORAN_RESIDUAL = 1e-12
+#: Most intervals ``cantor_construction`` keeps over all its stages, at about 155 bytes each.
+CANTOR_INTERVAL_CAP = 2**20
 #: Default digit depth of preimage witnesses (``qsaffine preimage``, ``analyze``).
 PREIMAGE_DEPTH = 64
 
@@ -62,25 +66,21 @@ class LevelSetDescriptor(NamedTuple):
 
 
 class CantorSpec(Frozen):
-    """A digit-restricted set: points of [0, 1] using only ``allowed`` digits."""
+    """A digit-restricted set: points of [0, 1] using only ``allowed`` digits.
+
+    ``dimension`` is its Hausdorff dimension ``moran_dimension(Q, allowed)``.
+    A Moran residual above ``MORAN_RESIDUAL`` is a library fault: ``CertificationError``.
+    """
 
     _fields = ("Q", "allowed", "dimension")
 
-    def __init__(self, Q: StochasticVector, allowed, dimension: float) -> None:
+    def __init__(self, Q: StochasticVector, allowed) -> None:
         allowed = _digit_set(allowed, Q.s)
-        if not 0.0 <= dimension <= 1.0:
-            raise ValidationError("dimension must lie in [0, 1]")
-        full = len(allowed) == Q.s
-        if (dimension == 1.0) != full:
-            raise ValidationError("dimension 1 exactly for the full alphabet")
-        if (dimension == 0.0) != (len(allowed) == 1):
-            raise ValidationError("dimension 0 exactly for a singleton digit set")
-        residual = abs(
-            math.fsum(Q.q[i] ** dimension for i in allowed) - 1.0
-        )
-        if residual > 1e-12:
-            raise ValidationError(
-                f"dimension does not solve the Moran equation (residual {residual:.3e})"
+        dimension = moran_dimension(Q, allowed)
+        residual = abs(math.fsum(Q.q[i] ** dimension for i in allowed) - 1.0)
+        if residual > MORAN_RESIDUAL:
+            raise CertificationError(
+                f"dimension {dimension!r} does not solve the Moran equation (residual {residual:.3e})"
             )
         self.__dict__.update(Q=Q, allowed=allowed, dimension=dimension)
 
@@ -124,8 +124,10 @@ def moran_dimension(Q: StochasticVector, allowed) -> float:
 
     The left side is strictly decreasing in x, equals |allowed| at x = 0 and
     the plain weight sum at x = 1, so for a proper non-singleton subset the
-    bracket is always valid.  Bisection runs to 1e-14 so the Moran residual
-    of the returned root stays below 1e-12.
+    bracket is always valid.  Bisection runs to ``MORAN_XTOL``, then on while
+    the Moran residual exceeds ``MORAN_RESIDUAL``: by a weight of 5e-324 the
+    slope is about 745, and 1e-14 in x alone leaves 2.4e-12.  Returns exactly
+    1.0 for the full alphabet, 0.0 for a singleton, else a root in (0, 1).
     """
     V = sorted(_digit_set(allowed, Q.s))
     if len(V) == Q.s:
@@ -133,18 +135,16 @@ def moran_dimension(Q: StochasticVector, allowed) -> float:
     if len(V) == 1:
         return 0.0
     weights = [Q.q[i] for i in V]
-
-    def h(x: float) -> float:
-        return math.fsum(w**x for w in weights) - 1.0
-
     lo, hi = 0.0, 1.0
-    while hi - lo > MORAN_XTOL:
+    while True:
         mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
+        h = math.fsum(w**mid for w in weights) - 1.0
+        if (hi - lo <= MORAN_XTOL and abs(h) <= MORAN_RESIDUAL) or not lo < mid < hi:
+            return mid
+        if h > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def closed_form_regime(system: SelfAffineSystem) -> int | None:
@@ -307,12 +307,12 @@ def derived_levels(
 def maxima_set(system: SelfAffineSystem) -> CantorSpec:
     """The set of maximum points as a digit-restricted set with its dimension.
 
-    V(M) is read from ``_closed_forms``, as ``closed_form_max`` reads it.
-    A singleton V(M) = {i} means a unique maximum point, the fixed point of
-    the digit-i map, and dimension 0 (``CantorSpec.singleton`` is then set).
+    V(M) is read from ``_closed_forms``, as ``closed_form_max`` reads it;
+    ``CantorSpec`` works out the Moran dimension of V(M).  A singleton
+    V(M) = {i} means a unique maximum point, the fixed point of the digit-i
+    map, and dimension 0 (``CantorSpec.singleton`` is then set).
     """
-    V = _regime_forms(system).V
-    return CantorSpec(Q=system.Q, allowed=V, dimension=moran_dimension(system.Q, V))
+    return CantorSpec(system.Q, _regime_forms(system).V)
 
 
 def cantor_construction(
@@ -324,10 +324,19 @@ def cantor_construction(
     in ``allowed``, sorted by left endpoint: |allowed|^t intervals of total
     length ``(sum_allowed q)^t`` (so the set itself is Lebesgue-null for a
     proper subset).  ``merged=True`` joins touching intervals, which is the
-    usual way the stages are drawn.
+    usual way the stages are drawn.  Steps that need more than ``CANTOR_INTERVAL_CAP``
+    intervals in all (20 for two digits) raise ``ValidationError`` before any is built.
     """
     steps = check_count(steps, "construction step count", 1)
     V = sorted(spec.allowed)
+    total, stage = 0, 1
+    for _ in range(steps):
+        stage *= len(V)
+        total += stage
+        if total > CANTOR_INTERVAL_CAP:
+            raise ValidationError(
+                f"{steps} construction steps need more than {CANTOR_INTERVAL_CAP} intervals"
+            )
     beta, q = spec.Q.beta, spec.Q.q
     stages: list[list[tuple[float, float]]] = []
     layer: list[tuple[float, float]] = [(0.0, 1.0)]  # (left, width product)
@@ -404,7 +413,7 @@ def _targets(seed: int, samples: int) -> tuple[float, ...]:
 
 
 def non_invariance_certificate(
-    system: SelfAffineSystem, samples: int, depth: int = PREIMAGE_DEPTH, seed: int = 0
+    system: SelfAffineSystem, samples: int = 16, depth: int = PREIMAGE_DEPTH, seed: int = 0
 ) -> NonInvarianceReport:
     """Certify that a dimension-<1 digit set maps onto a set containing [0, 1].
 

@@ -313,6 +313,13 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "CertificationError"
 
+    def test_wrong_moran_root_is_5(self, capsys, monkeypatch):
+        root = extrema.moran_dimension
+        monkeypatch.setattr(extrema, "moran_dimension", lambda Q, allowed: root(Q, allowed) + 1e-6)
+        rc, out, err = run(capsys, "analyze", "--config", cfg("cantor_max"))
+        assert (rc, out) == (EXIT_INTERNAL, "")
+        assert json.loads(err)["error"] == "CertificationError"
+
     def test_unsupported_format_is_2(self, capsys):
         rc, _, err = run(capsys, "analyze", "--config", cfg("identity"), "--format", "csv")
         assert rc == 2
@@ -614,18 +621,13 @@ class TestCantorOutputs:
         )
         assert rc == 2
 
-    def test_interval_cap_rejects_before_construction(self, capsys, monkeypatch):
-        # |V| = 2: 19 steps keep 2**20 - 2 intervals in all, 20 steps 2**21 - 2.
-        built = []
-        monkeypatch.setattr(
-            extrema, "cantor_construction", lambda spec, steps, merged: built.append(steps) or []
-        )
+    def test_interval_cap_is_2(self, capsys):
+        # |V| = 2: 20 steps keep 2**21 - 2 intervals in all.  That the cap
+        # binds before any interval is built is tested on cantor_construction.
         rc, out, err = run(capsys, "cantor", "--config", cfg("cantor_max"), "--steps", "20")
-        assert rc == 2 and out == "" and built == []
+        assert rc == 2 and out == ""
         diag = json.loads(err)
         assert diag["error"] == "ValidationError" and "intervals" in diag["message"]
-        rc, _, _ = run(capsys, "cantor", "--config", cfg("cantor_max"), "--steps", "19")
-        assert rc == 0 and built == [19]
 
 
 class TestSvgLabels:

@@ -32,11 +32,11 @@ from qsaffine import (
 )
 from qsaffine.cli import build_analysis
 from qsaffine.codec import unwalk_value
-from qsaffine.extrema import LEVEL_TOL, moran_dimension
+from qsaffine.extrema import LEVEL_TOL
 from helpers import CANTOR_MAX, LEVEL_SETS
 
 STRING = DigitString((1,), (0, 2), 3)
-SPEC = CantorSpec(CANTOR_MAX.Q, {1, 2}, moran_dimension(CANTOR_MAX.Q, {1, 2}))
+SPEC = CantorSpec(CANTOR_MAX.Q, {1, 2})
 CONFIG = SystemConfig(("1/5", "2/5", "1/5", "1/5"), ("2/5", "4/5", "2/5", "-3/5"), "cantor-max")
 DIGITS = DigitString((1, 3), (0, 2), 4)
 

@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,14 @@ from scipy.optimize import brentq
 
 from qsaffine import (
     CantorSpec,
+    CertificationError,
     ConditionsNotMet,
     DigitString,
     InvalidDigit,
     NonInvarianceReport,
     OutOfDomain,
     PreconditionViolated,
+    StochasticVector,
     ValidationError,
     cantor_construction,
     closed_form_max,
@@ -280,6 +283,28 @@ class TestMoran:
         values = [math.fsum(w**x for w in weights) for x in np.linspace(0, 1, 50)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @given(
+        raw=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=5),
+        tiny=st.lists(st.sampled_from((1e-300, 5e-324)), max_size=3),
+        data=st.data(),
+    )
+    def test_root_exact_at_the_ends_and_solves_moran_inside(self, raw, tiny, data):
+        # Weights near the underflow threshold make the slope of the Moran sum
+        # reach about 745, so 1e-14 in x alone leaves a residual up to 2.4e-12.
+        total = math.fsum(raw)
+        big = [w / total for w in raw[:-1]]
+        weights = data.draw(st.permutations([*big, 1.0 - math.fsum(big), *tiny]))
+        Q = StochasticVector(weights)
+        allowed = data.draw(st.sets(st.integers(0, Q.s - 1), min_size=1))
+        x = moran_dimension(Q, allowed)
+        if len(allowed) == Q.s:
+            assert x == 1.0
+        elif len(allowed) == 1:
+            assert x == 0.0
+        else:
+            assert 0.0 < x < 1.0
+            assert abs(math.fsum(Q.q[i] ** x for i in allowed) - 1.0) <= extrema.MORAN_RESIDUAL
+
 
 class TestMaximaSet:
     def test_cantor_type_set(self):
@@ -300,21 +325,35 @@ class TestMaximaSet:
             fixed = evaluate(system, DigitString((), (1,), 3)).value
             assert fixed == pytest.approx(M, abs=1e-12)
 
+    @pytest.mark.parametrize("t", (1e-300, 5e-324))
+    def test_tiny_weights_solve_moran(self, t):
+        # Two maximum digits of weight t each: the root of 2 t^x = 1 sits
+        # near 0.001, where the old 1e-14 stop left a residual of 1.4e-12
+        # and 2.4e-12.  One such digit beside a weight of 1/4 never did.
+        for q, V in (((0.5, t, t, 0.5), {1, 2}), ((0.5 - t, t, 0.25, 0.25), {1, 2})):
+            spec = maxima_set(make_system(q, (0.4, 0.8, 0.4, -0.6)))
+            assert spec.allowed == V and 0.0 < spec.dimension < 0.01
+            residual = abs(math.fsum(spec.Q.q[i] ** spec.dimension for i in V) - 1.0)
+            assert residual <= extrema.MORAN_RESIDUAL
+
+    def test_wrong_root_is_certification_error(self, monkeypatch):
+        # The spec works out its own dimension, so a root that misses the
+        # Moran equation is a fault of the library, not of the input.
+        root = extrema.moran_dimension
+        monkeypatch.setattr(extrema, "moran_dimension", lambda Q, allowed: root(Q, allowed) + 1e-6)
+        with pytest.raises(CertificationError, match="Moran equation"):
+            maxima_set(CANTOR_MAX)
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
-            CantorSpec(CANTOR_MAX.Q, frozenset(), 0.5)
-        with pytest.raises(ValidationError):
-            CantorSpec(CANTOR_MAX.Q, frozenset({1, 2}), 0.9)  # wrong dimension
-        with pytest.raises(ValidationError):
-            CantorSpec(CANTOR_MAX.Q, frozenset({1, 2}), 0.0)  # zero needs singleton
+            CantorSpec(CANTOR_MAX.Q, frozenset())
 
     def test_spec_rejects_non_integral_digits(self):
-        dim = moran_dimension(CANTOR_MAX.Q, {1, 2})
         with pytest.raises(ValidationError):
-            CantorSpec(CANTOR_MAX.Q, frozenset({1.5, 2.9}), dim)
+            CantorSpec(CANTOR_MAX.Q, frozenset({1.5, 2.9}))
         with pytest.raises(ValidationError):
-            CantorSpec(CANTOR_MAX.Q, frozenset({1, 4}), dim)
-        assert CantorSpec(CANTOR_MAX.Q, frozenset({np.int64(2), True}), dim).allowed == {1, 2}
+            CantorSpec(CANTOR_MAX.Q, frozenset({1, 4}))
+        assert CantorSpec(CANTOR_MAX.Q, frozenset({np.int64(2), True})).allowed == {1, 2}
 
 
 class TestCantorConstruction:
@@ -338,10 +377,37 @@ class TestCantorConstruction:
             assert intervals == sorted(intervals)
 
     def test_singleton_nests(self):
-        spec = CantorSpec(CANTOR_MAX.Q, frozenset({0}), 0.0)
+        spec = CantorSpec(CANTOR_MAX.Q, frozenset({0}))
         stages = cantor_construction(spec, 4)
         for t, intervals in enumerate(stages, start=1):
             assert intervals == [(0.0, pytest.approx(0.2**t, rel=1e-12))]
+
+    def test_interval_cap_rejects_before_construction(self):
+        # |V| = 2: 19 steps keep 2**20 - 2 intervals in all, 20 steps 2**21 - 2.
+        assert extrema.CANTOR_INTERVAL_CAP == 2**20
+        spec = maxima_set(CANTOR_MAX)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"more than {2**20} intervals"):
+                cantor_construction(spec, 20)
+            with pytest.raises(ValidationError, match="intervals"):
+                cantor_construction(spec, 10**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_interval_cap_counts_every_stage(self, monkeypatch):
+        monkeypatch.setattr(extrema, "CANTOR_INTERVAL_CAP", 2**6)
+        stages = cantor_construction(maxima_set(CANTOR_MAX), 5)
+        assert sum(map(len, stages)) == 62
+        with pytest.raises(ValidationError, match="6 construction steps need more than 64 intervals"):
+            cantor_construction(maxima_set(CANTOR_MAX), 6)
+        # A singleton keeps one interval per stage: the cap binds at cap + 1 steps.
+        singleton = CantorSpec(CANTOR_MAX.Q, {1})
+        assert len(cantor_construction(singleton, 64)) == 64
+        with pytest.raises(ValidationError, match="65 construction steps"):
+            cantor_construction(singleton, 65)
 
 
 class TestMembership:
@@ -352,7 +418,7 @@ class TestMembership:
         assert not membership(spec, DigitString((3,), (1,), 4))
 
     def test_twin_qualifies(self):
-        spec = CantorSpec(CANTOR_MAX.Q, frozenset({0, 3}), moran_dimension(CANTOR_MAX.Q, {0, 3}))
+        spec = CantorSpec(CANTOR_MAX.Q, frozenset({0, 3}))
         # 1,(0) rewrites to 0,(3): the twin is inside the digit set
         assert membership(spec, DigitString((1,), (0,), 4))
         assert not membership(spec, DigitString((2,), (0,), 4))

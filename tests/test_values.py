@@ -24,7 +24,6 @@ from qsaffine import (
     StochasticVector,
     SystemConfig,
     ValidationError,
-    moran_dimension,
 )
 
 CANTOR_Q = (0.2, 0.4, 0.2, 0.2)
@@ -44,9 +43,7 @@ VALUES = {
     ),
     "LevelSetDescriptor": (lambda: LevelSetDescriptor(y=0.625, V=frozenset({1, 3})), "y"),
     "CantorSpec": (
-        lambda: CantorSpec(
-            StochasticVector(CANTOR_Q), frozenset({1, 2}), moran_dimension(StochasticVector(CANTOR_Q), {1, 2})
-        ),
+        lambda: CantorSpec(StochasticVector(CANTOR_Q), frozenset({1, 2})),
         "allowed",
     ),
     "NonInvarianceReport": (
@@ -173,5 +170,5 @@ class TestChecks:
 
     def test_cantor_spec_stores_a_frozenset(self):
         Q = StochasticVector(CANTOR_Q)
-        spec = CantorSpec(Q, [2, 1], moran_dimension(Q, {1, 2}))
+        spec = CantorSpec(Q, [2, 1])
         assert spec.allowed == frozenset({1, 2}) and type(spec.allowed) is frozenset
