@@ -133,14 +133,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _level_rows(quotients: list[float], tolerance: float) -> list[dict]:
+    """Level rows by ascending value, each with the digits of its level set no earlier row holds.
+
+    One walk over the sorted ``(y, i)`` pairs.  A row starts at the first
+    pair no row holds yet, so every lower value is placed, and takes the
+    pairs that follow while ``abs(v - y) <= tolerance``: ``fl(v - y)``
+    never falls as v grows, so these are the unplaced digits i with
+    ``|quotients[i] - y| <= tolerance``, found in O(s log s).
+    """
+    pairs = sorted(zip(quotients, range(len(quotients))))
+    rows = []
+    start = 0
+    while start < len(pairs):
+        y = pairs[start][0]
+        end = start + 1
+        while end < len(pairs) and abs(pairs[end][0] - y) <= tolerance:
+            end += 1
+        digits = sorted(i for _, i in pairs[start:end])
+        rows.append({"y": y, "digits": digits, "continuum": len(digits) >= 2, "tolerance": tolerance})
+        start = end
+    return rows
+
+
 def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) -> dict:
     """Deterministic aggregate report; every numeric block carries its tolerance.
 
     One pass: the quotients, M, V(M) and m come from one
     ``extrema._closed_forms`` call, and the logs of the exponents from
     ``system.logs``.  Each block equals what the public functions give:
-    ``level_set`` per level row, ``closed_form_max``/``closed_form_min``,
-    ``maxima_set`` and the ``holder`` exponents and predicates.
+    ``level_set`` per level row (``_level_rows``),
+    ``closed_form_max``/``closed_form_min``, ``maxima_set``, the ``holder``
+    exponents and predicates, and ``non_invariance_certificate``: the exact
+    covering check and the residual of the y = 1 witness.
     """
     extrema._check_tolerance(tolerance)
     depth = extrema.PREIMAGE_DEPTH if depth is None else check_count(depth, "depth", 1)
@@ -164,19 +189,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
         "oracle_residual": oracle.residual,
     }
 
-    # Rows ascend by value; each takes the digits of its level set (the
-    # quotients within tolerance of its value) that no earlier row holds.
-    quotients = forms.quotients
-    levels = []
-    placed: set[int] = set()
-    for y, i in sorted(zip(quotients, range(system.s))):
-        if i in placed:
-            continue
-        digits = {j for j, v in enumerate(quotients) if abs(v - y) <= tolerance} - placed
-        placed |= digits
-        levels.append(
-            {"y": y, "digits": sorted(digits), "continuum": len(digits) >= 2, "tolerance": tolerance}
-        )
+    levels = _level_rows(forms.quotients, tolerance)
 
     exponents = {
         key: {"value": exponent(system).exponent, "tolerance": ANALYZE_TOL}
@@ -201,7 +214,8 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
         non_invariance = {
             "restricted_digits": sorted(report.restricted_digits),
             "dimension": report.dimension,
-            "samples": report.samples,
+            "covering_proved": report.covering_proved,
+            "covering_margin": report.covering_margin,
             "depth": report.depth,
             "residual_bound": report.residual_bound,
             "max_residual": report.max_residual,
@@ -268,13 +282,18 @@ def _analysis_text(report: dict) -> str:
         )
     if report["non_invariance"] is not None:
         ni = report["non_invariance"]
-        lines.append("non-invariance certificate")
+        proved = ni["covering_proved"]
+        lines.append("non-invariance " + ("certificate" if proved else "(covering not proved)"))
         lines.append(
             f"  digits {_text(ni['restricted_digits'])}  dimension {_f(ni['dimension'])}"
         )
         lines.append(
-            f"  {ni['samples']} preimages at depth {ni['depth']}: "
-            f"max residual {_f(ni['max_residual'])} <= bound {_f(ni['residual_bound'])}"
+            f"  covering of [0, L] {'proved' if proved else 'not proved'}: "
+            f"L - 1 = {_f(ni['covering_margin'])}"
+        )
+        lines.append(
+            f"  preimage of y = 1 at depth {ni['depth']}: "
+            f"residual {_f(ni['max_residual'])} <= bound {_f(ni['residual_bound'])}"
         )
     return "\n".join(lines) + "\n"
 

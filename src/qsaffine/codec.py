@@ -15,14 +15,14 @@ gives f.  ``walk`` composes the maps of digits into a value, and
 ``selfaffine.evaluate``) adds a period.  The digits of x come from one
 greedy descent, ``unwalk_into``, which composes a second map pair and can
 keep its digits: ``encode`` keeps them, ``selfaffine.evaluate_at`` composes
-f's maps.  ``unwalk`` serves y only, under f's maps, and ``unwalk_value``
-joins it with ``walk`` for ``extrema``.  Around them sit cylinder
-intervals, the one digit check (``check_digits``), the one count check
-(``check_count``), the heads and digit frequencies of a ``DigitString``,
-and the bookkeeping for points with two expansions (a terminating one and
-its twin).  Digits are checked once, where they enter: at the public
-``DigitString`` constructor and at the one digit ``prepend`` adds.
-``Frozen`` is the base of the package's value types.
+f's maps.  ``unwalk`` serves y only, under f's maps: the preimage digits
+of ``extrema``.  Around them sit cylinder intervals, the one digit check
+(``check_digits``), the one count check (``check_count``), the heads and
+digit frequencies of a ``DigitString``, and the bookkeeping for points
+with two expansions (a terminating one and its twin).  Digits are checked
+once, where they enter: at the public ``DigitString`` constructor and at
+the one digit ``prepend`` adds.  ``Frozen`` is the base of the package's
+value types.
 """
 
 from __future__ import annotations
@@ -313,45 +313,6 @@ def unwalk(t: float, offsets, scales, depth: int):
         elif t > 1.0:
             t = 1.0
     return tuple(digits), None
-
-
-def unwalk_value(t: float, offsets, scales, depth: int) -> float:
-    """The value ``walk`` gives the greedy digits of ``t``, with no digits kept.
-
-    One descent that takes the digits of ``unwalk(t, offsets, scales,
-    depth)`` and composes their maps as it goes, so it equals
-    ``walk(unwalk(t, offsets, scales, depth)[0], offsets, scales)[0]`` bit
-    for bit: the same digits, and the same float operations in the same
-    order.  As in every descent of the library, ``offsets`` ascend from
-    ``offsets[0] == 0`` and ``scales[d]`` lies in (0, 1) for each digit
-    ``d`` the descent can take, so ``acc >= 0`` and ``prod > 0`` only
-    shrinks.  A residue of 0, where ``unwalk`` closes, takes digit 0, whose
-    offset 0 adds nothing, so the descent needs no exit there.
-
-    It stops before ``depth`` once ``offsets[-1] * prod * 2**55 < acc``.
-    Each later term ``offsets[d] * prod`` is then below ``2**-55 * acc``,
-    and so below half the spacing of the doubles around ``acc``: ``2**-54 *
-    acc`` bounds that half-spacing from below, also just under a power of
-    two, and the other factor 2 covers the rounding of the test itself.
-    Adding such a term rounds back to ``acc``, so no later step can change
-    it, and the bits are those of the full walk.
-    """
-    t, depth = _descent_start(t, depth)
-    fixed = offsets[-1] * 2.0**55
-    acc, prod = 0.0, 1.0
-    for _ in range(depth):
-        if fixed * prod < acc:
-            break
-        d = bisect_right(offsets, t) - 1
-        offset = offsets[d]
-        acc += offset * prod
-        prod *= scales[d]
-        t = (t - offset) / scales[d]
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-    return acc
 
 
 def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: float, digits=None):

@@ -17,13 +17,10 @@ rather than returning silently.
 from __future__ import annotations
 
 import math
-import random
-from functools import lru_cache
 from typing import NamedTuple
 
 from .codec import (
     DigitString, Frozen, StochasticVector, check_count, check_digits, twin_representation, unwalk,
-    unwalk_value,
 )
 from .errors import (
     CertificationError,
@@ -90,22 +87,27 @@ class CantorSpec(Frozen):
 
 
 class NonInvarianceReport(NamedTuple):
-    """Desk-scale certificate that f maps a thin set onto all of [0, 1].
+    """Proof, or its failure, that f maps a thin set onto a set containing [0, 1].
 
     ``dimension`` (< 1) is the Hausdorff dimension of the digit-restricted
-    set over ``restricted_digits``; each of the ``samples`` targets y in
-    [0, 1] (the same for every system with the same seed) received a
-    preimage witness inside it, ``depth`` digits deep, whose forward walk
-    lands within ``residual_bound`` of y.  A set of dimension < 1 (hence
-    Lebesgue-null and nowhere dense) therefore covers a full interval under f.
+    set over ``restricted_digits`` = {0, ..., k-1}.  ``covering_proved`` says
+    whether the maps ``y -> delta_a + g_a y`` of those digits, on the stored
+    doubles, cover ``[0, L]`` with ``L = delta_{k-1} / (1 - g_{k-1}) >= 1``,
+    decided exactly; ``covering_margin`` is ``L - 1`` rounded once.  When it
+    holds, every y in [0, L] has a preimage inside the set (Hutchinson
+    1981), so a set of dimension < 1 (hence Lebesgue-null and nowhere dense)
+    covers a full interval under f.  ``max_residual`` is the residual of one
+    preimage witness of y = 1, ``depth`` digits deep, within
+    ``residual_bound``.
     """
 
     dimension: float
     restricted_digits: frozenset[int]
-    samples: int
+    covering_proved: bool
+    covering_margin: float
     depth: int
     residual_bound: float
-    max_residual: float | None
+    max_residual: float
 
 
 def _digit_set(allowed, s: int) -> frozenset[int]:
@@ -406,51 +408,55 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
     return DigitString._from_checked(digits, period, system.s)
 
 
-@lru_cache(maxsize=8)
-def _targets(seed: int, samples: int) -> tuple[float, ...]:
-    """The uniform targets of the certificate: target j from its own seeded generator."""
-    return tuple(random.Random(seed * 1_000_003 + j).random() for j in range(samples))
+def _covering(system: SelfAffineSystem, k: int) -> tuple[bool, float]:
+    """Whether the digit maps below k cover ``[0, L]`` with ``L >= 1``, decided exactly; and ``L - 1``.
+
+    The map of digit a sends ``[0, L]`` onto ``[delta_a, delta_a + g_a L]``
+    (``g_a > 0`` below k, so the ``delta_a`` ascend from 0), and the map of
+    k-1 ends at its fixed point L.  With ``c = 1 - g_{k-1}`` the images
+    cover ``[0, L]`` when ``delta_{k-1} >= c`` (that is ``L >= 1``) and
+    every seam closes: ``delta_a c + g_a delta_{k-1} >= delta_{a+1} c`` for
+    a < k-1.  Every double is an integer over a power of two, so all of
+    them scaled by the largest such denominator are integers, and the
+    checks compare ints.
+    """
+    ratios = [v.as_integer_ratio() for v in (*system.G.g[:k], *system.G.delta[:k])]
+    unit = max(den for _, den in ratios)
+    g, delta = [[num * (unit // den) for num, den in part] for part in (ratios[:k], ratios[k:])]
+    c, top = unit - g[-1], delta[-1]
+    proved = top >= c and all(delta[a] * c + g[a] * top >= delta[a + 1] * c for a in range(k - 1))
+    return proved, (top - c) / c
 
 
-def non_invariance_certificate(
-    system: SelfAffineSystem, samples: int = 16, depth: int = PREIMAGE_DEPTH, seed: int = 0
-) -> NonInvarianceReport:
-    """Certify that a dimension-<1 digit set maps onto a set containing [0, 1].
+def non_invariance_certificate(system: SelfAffineSystem, depth: int = PREIMAGE_DEPTH) -> NonInvarianceReport:
+    """Prove that a dimension-<1 digit set maps onto a set containing [0, 1].
 
     Computes the Hausdorff dimension of the digit-restricted set over
-    {0, ..., k-1} (asserted < 1) and, for ``samples`` reproducible uniform
-    targets y, builds a preimage witness inside it; a witness whose residual
-    exceeds the guaranteed bound raises ``CertificationError``.  Target j
-    draws from its own seeded generator, so the batch is order-independent;
-    the targets depend on ``(seed, samples)`` only and are drawn once.  Each
-    witness value is ``codec.unwalk_value`` over the first k offsets: the
-    forward ``walk`` of the ``preimage_digits`` digits (all below k, so
-    ``delta[:k]`` indexes them as ``delta`` does), read off the descent
-    itself.  A zero tail adds nothing, so this equals ``evaluate`` of the
-    witness up to the sign of a zero.
+    {0, ..., k-1} (asserted < 1) and decides the covering of ``[0, L]`` by
+    their digit maps exactly (``_covering``); a covering that fails is
+    reported, not raised.  One preimage witness, of y = 1, is evaluated
+    and checked: its first residue stays in [0, 1] only when ``delta_k >=
+    1``.  A residual above ``preimage_residual_bound`` raises
+    ``CertificationError``.
     """
     k = _require_regime(system)
-    samples = check_count(samples, "sample count", 0)
     v_star = frozenset(range(k))
     dim = moran_dimension(system.Q, v_star)
     if not dim < 1.0:
         raise CertificationError("restricted digit set must have dimension below 1")
     bound = preimage_residual_bound(system, depth)
-    offsets, g = system.G.delta[:k], system.G.g
-    max_residual: float | None = None
-    for y in _targets(seed, samples):
-        residual = abs(unwalk_value(y, offsets, g, depth) - y)
-        if residual > bound:
-            raise CertificationError(
-                f"witness residual {residual!r} exceeds the guaranteed bound {bound!r}"
-            )
-        if max_residual is None or residual > max_residual:
-            max_residual = residual
+    proved, margin = _covering(system, k)
+    residual = abs(evaluate(system, preimage_digits(system, 1.0, depth)).value - 1.0)
+    if residual > bound:
+        raise CertificationError(
+            f"witness residual {residual!r} exceeds the guaranteed bound {bound!r}"
+        )
     return NonInvarianceReport(
         dimension=dim,
         restricted_digits=v_star,
-        samples=samples,
+        covering_proved=proved,
+        covering_margin=margin,
         depth=depth,
         residual_bound=bound,
-        max_residual=max_residual,
+        max_residual=residual,
     )

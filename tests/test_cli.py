@@ -122,8 +122,50 @@ class TestAnalyze:
     def test_tight_preimage_bound_system(self):
         report = build_analysis(TIGHT_CONFIG, LEVEL_TOL, 64)
         ni = report["non_invariance"]
-        assert ni["depth"] == 64 and ni["samples"] > 0
+        assert ni["depth"] == 64 and ni["covering_proved"] is True
         assert ni["max_residual"] <= ni["residual_bound"]
+
+    def test_unproved_covering_is_not_called_a_certificate(self, capsys, tmp_path):
+        # Float delta_4 = 1.0000000000000002 puts this system in the regime,
+        # but a seam of the covering fails on the stored doubles.
+        seam = write_config(tmp_path, "q: [1/6, 1/6, 1/6, 1/6, 1/6, 1/6]\n"
+                                      "g: [1/13, 6/13, 3/13, 3/13, -3/13, 3/13]\n")
+        rc, out, _ = run(capsys, "analyze", "--config", seam)
+        assert rc == 0
+        assert "non-invariance (covering not proved)" in out
+        assert "covering of [0, L] not proved: L - 1 = 2.1649348980190552e-16" in out
+        assert "certificate" not in out
+        rc, out, _ = run(capsys, "analyze", "--config", seam, "--format", "json")
+        assert rc == 0 and json.loads(out)["non_invariance"]["covering_proved"] is False
+        rc, out, _ = run(capsys, "analyze", "--config", cfg("cantor_max"))
+        assert rc == 0
+        assert "non-invariance certificate\n" in out
+        assert "covering of [0, L] proved: L - 1 = 1.0000000000000004\n" in out
+        assert "preimage of y = 1 at depth 64: residual 0 <= bound " in out
+
+    @given(
+        centres=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+        spots=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-4, 4), st.sampled_from((0.0, 1e-17, -1e-17, 1e-12))),
+            min_size=1, max_size=40,
+        ),
+        tol=st.sampled_from((LEVEL_TOL, 0.0, 0.05)),
+    )
+    def test_level_rows_match_the_full_scan(self, centres, spots, tol):
+        # Quotients in clusters, spaced by half the tolerance plus a jitter of
+        # under an ulp or of 1e-12, so that rows meet and overlap at their edges.
+        quotients = [centres[c % len(centres)] + m * (tol or LEVEL_TOL) / 2 + e for c, m, e in spots]
+        # The scan the sorted walk replaced: every row compares every quotient.
+        expected, placed = [], set()
+        for y, i in sorted(zip(quotients, range(len(quotients)))):
+            if i in placed:
+                continue
+            digits = {j for j, v in enumerate(quotients) if abs(v - y) <= tol} - placed
+            placed |= digits
+            expected.append(
+                {"y": y, "digits": sorted(digits), "continuum": len(digits) >= 2, "tolerance": tol}
+            )
+        assert cli._level_rows(quotients, tol) == expected
 
     def test_text_and_json_are_byte_stable(self, capsys):
         for fmt in ("text", "json"):
@@ -180,6 +222,16 @@ class TestAnalyze:
                 "dimension": spec.dimension,
                 "singleton": spec.singleton,
                 "tolerance": cli.ANALYZE_TOL,
+            }
+            rep = extrema.non_invariance_certificate(ref)
+            assert report["non_invariance"] == {
+                "restricted_digits": sorted(rep.restricted_digits),
+                "dimension": rep.dimension,
+                "covering_proved": rep.covering_proved,
+                "covering_margin": rep.covering_margin,
+                "depth": rep.depth,
+                "residual_bound": rep.residual_bound,
+                "max_residual": rep.max_residual,
             }
 
 

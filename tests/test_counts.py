@@ -31,7 +31,6 @@ from qsaffine import (
     variation_lower_bound,
 )
 from qsaffine.cli import build_analysis
-from qsaffine.codec import unwalk_value
 from qsaffine.extrema import LEVEL_TOL
 from helpers import CANTOR_MAX, LEVEL_SETS
 
@@ -51,9 +50,6 @@ SITES = {
     "functional_equation_residual.depth": (
         lambda n: functional_equation_residual(CANTOR_MAX, 2, 0.37, n), "depth", 1, 6,
     ),
-    "unwalk_value.depth": (
-        lambda n: unwalk_value(0.37, CANTOR_MAX.G.delta[:3], CANTOR_MAX.G.g, n), "depth", 1, 6,
-    ),
     "variation_lower_bound": (lambda n: variation_lower_bound(CANTOR_MAX, n), "rank", 1, 3),
     "sample.points": (lambda n: sample(CANTOR_MAX, n), "point count", 2, 9),
     "sample.depth": (lambda n: sample(CANTOR_MAX, 64, depth=n), "depth", 1, 3),
@@ -61,11 +57,8 @@ SITES = {
     "derived_levels": (lambda n: derived_levels(LEVEL_SETS, 0.625, n), "level count", 0, 2),
     "cantor_construction": (lambda n: cantor_construction(SPEC, n), "construction step count", 1, 3),
     "preimage_residual_bound": (lambda n: preimage_residual_bound(CANTOR_MAX, n), "depth", 1, 6),
-    "non_invariance_certificate.samples": (
-        lambda n: non_invariance_certificate(CANTOR_MAX, samples=n), "sample count", 0, 3,
-    ),
     "non_invariance_certificate.depth": (
-        lambda n: non_invariance_certificate(CANTOR_MAX, samples=3, depth=n), "depth", 1, 6,
+        lambda n: non_invariance_certificate(CANTOR_MAX, depth=n), "depth", 1, 6,
     ),
     "empirical_exponent.ranks": (lambda n: empirical_exponent(CANTOR_MAX, DIGITS, [n, 4]), "rank", 1, 2),
     "build_analysis.depth": (lambda n: build_analysis(CONFIG, LEVEL_TOL, n), "depth", 1, 6),

@@ -1,9 +1,7 @@
-import itertools
 import math
-import random
-import struct
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +15,6 @@ from qsaffine import (
     ConditionsNotMet,
     DigitString,
     InvalidDigit,
-    NonInvarianceReport,
     OutOfDomain,
     PreconditionViolated,
     StochasticVector,
@@ -38,7 +35,7 @@ from qsaffine import (
     preimage_residual_bound,
 )
 from qsaffine import extrema
-from qsaffine.codec import unwalk, unwalk_value, walk
+from qsaffine.codec import unwalk, walk
 from qsaffine.config import SystemConfig, load_config
 from helpers import (
     CANTOR_MAX,
@@ -49,42 +46,37 @@ from helpers import (
     ROUGH_S3,
     SINGULAR_S3,
     TIGHT_CONFIG,
+    closing,
     random_regime_system,
+    random_weights,
     system as make_system,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TIGHT = TIGHT_CONFIG.system()
-# max(g[:k]) = 0.99: the witness products barely shrink, so the descents
-# run to their full depth before the early stop of unwalk_value can fire.
+# max(g[:k]) = 0.99: the witness products barely shrink, so the descent runs
+# to its full depth.
 NEAR_CRITICAL = SystemConfig(("1/3", "1/3", "1/3"), ("99/100", "3/10", "-29/100"), "near").system()
+# Float delta_4 = 1.0000000000000002, so the system counts as in the regime,
+# but in the stored doubles the seam between the images of maps 2 and 3
+# leaves a gap: the covering of [0, L] fails.
+SEAM = SystemConfig(("1/6",) * 6, ("1/13", "6/13", "3/13", "3/13", "-3/13", "3/13"), "seam").system()
+# ROADMAP item 8b's false regime: delta_3 = 1 exactly in rationals, yet the
+# stored doubles of g sum to 1 + 9/2**57, which makes L > 1 and the seams close.
+FALSE_REGIME = SystemConfig(("1/5",) * 5, ("6/30", "23/30", "1/30", "-22/30", "22/30"), "8b").system()
 
 
-def reference_certificate(system, samples, depth, seed, targets=None):
-    """The witness loop written out: preimage_digits and evaluate per target.
+def covering_reference(system, k):
+    """The covering of ``[0, L]`` by the digit maps below k, decided in ``Fraction``s.
 
-    The targets are ``targets`` when given, else one seeded generator each.
+    Map a sends ``[0, L]`` onto ``[delta_a, delta_a + g_a L]``, ``L =
+    delta_{k-1} / (1 - g_{k-1})``: the union covers ``[0, L]`` when
+    ``L >= 1`` and each image reaches the next one's left end.
     """
-    k = closed_form_regime(system)
-    bound = preimage_residual_bound(system, depth)
-    max_residual = None
-    if targets is None:
-        targets = [random.Random(seed * 1_000_003 + j).random() for j in range(samples)]
-    for y in targets:
-        witness = preimage_digits(system, y, depth)
-        assert all(dig < k for dig in witness.prefix)
-        residual = abs(evaluate(system, witness).value - y)
-        assert residual <= bound
-        if max_residual is None or residual > max_residual:
-            max_residual = residual
-    return NonInvarianceReport(
-        dimension=moran_dimension(system.Q, range(k)),
-        restricted_digits=frozenset(range(k)),
-        samples=samples,
-        depth=depth,
-        residual_bound=bound,
-        max_residual=max_residual,
-    )
+    g = [Fraction(v) for v in system.G.g[:k]]
+    delta = [Fraction(v) for v in system.G.delta[:k]]
+    L = delta[-1] / (1 - g[-1])
+    return L >= 1 and all(delta[a] + g[a] * L >= delta[a + 1] for a in range(k - 1)), L - 1
 
 
 class TestRegime:
@@ -478,45 +470,83 @@ class TestPreimage:
 
 class TestNonInvariance:
     def test_dimension_only_report(self):
-        rep = non_invariance_certificate(CANTOR_MAX, samples=0)
-        assert rep.samples == 0 and rep.max_residual is None
+        rep = non_invariance_certificate(CANTOR_MAX)
         assert sorted(rep.restricted_digits) == [0, 1, 2]
         oracle = brentq(lambda x: 2 * 0.2**x + 0.4**x - 1.0, 1e-12, 1.0, xtol=1e-15)
         assert rep.dimension == pytest.approx(oracle, abs=1e-12)
         assert rep.dimension < 1.0
+        # L = delta_2 / (1 - g_2) = 1.2 / 0.6 = 2 up to the rounding of the stored doubles
+        assert rep.covering_proved and rep.covering_margin == pytest.approx(1.0, abs=1e-15)
 
     def test_witnesses_certified(self):
-        rep = non_invariance_certificate(CANTOR_MAX, samples=100, depth=48, seed=1)
-        assert rep.max_residual is not None
-        assert rep.max_residual <= rep.residual_bound
-
-    def test_deterministic(self):
-        a = non_invariance_certificate(CANTOR_MAX, samples=25, seed=7)
-        b = non_invariance_certificate(CANTOR_MAX, samples=25, seed=7)
-        assert a == b
-
-    def test_outside_regime(self):
-        with pytest.raises(ConditionsNotMet):
-            non_invariance_certificate(IDENTITY_S3, samples=1)
-
-    def test_matches_witness_reference(self, monkeypatch):
         bundled = [load_config(CONFIG_DIR / f"{name}.cfg").system() for name in FIGURE_CONFIGS]
         rng = np.random.default_rng(6)
         systems = [s for s in bundled if closed_form_regime(s) is not None]
         assert len(systems) == 4
-        systems += [random_regime_system(rng)[0] for _ in range(8)] + [TIGHT, NEAR_CRITICAL]
+        systems += [random_regime_system(rng)[0] for _ in range(8)] + [TIGHT, NEAR_CRITICAL, SEAM]
         for system in systems:
-            for seed, samples, depth in itertools.product((0, 1, 7), (0, 1, 16, 100), (1, 16, 64, 200)):
-                got = non_invariance_certificate(system, samples, depth=depth, seed=seed)
-                assert got == reference_certificate(system, samples, depth, seed)
-        # Targets the seeded draws miss: 0, 1 and the bracket boundary delta_1,
-        # where unwalk closes with period (0,) and the joined descent walks on.
-        for system in systems:
-            targets = (0.0, 1.0, system.G.delta[1])
-            monkeypatch.setattr(extrema, "_targets", lambda seed, samples, t=targets: t)
             for depth in (1, 16, 64, 200):
-                got = non_invariance_certificate(system, len(targets), depth=depth)
-                assert got == reference_certificate(system, len(targets), depth, 0, targets)
+                rep = non_invariance_certificate(system, depth=depth)
+                witness = preimage_digits(system, 1.0, depth)
+                assert rep.max_residual == abs(evaluate(system, witness).value - 1.0)
+                assert rep.max_residual <= rep.residual_bound == preimage_residual_bound(system, depth)
+                assert rep.depth == depth
+
+    def test_deterministic(self):
+        assert non_invariance_certificate(CANTOR_MAX) == non_invariance_certificate(CANTOR_MAX)
+
+    def test_outside_regime(self):
+        with pytest.raises(ConditionsNotMet):
+            non_invariance_certificate(IDENTITY_S3)
+
+    def test_covering_matches_fraction_reference(self):
+        bundled = [load_config(CONFIG_DIR / f"{name}.cfg").system() for name in FIGURE_CONFIGS]
+        systems = [s for s in bundled if closed_form_regime(s) is not None]
+        assert len(systems) == 4
+        rng = np.random.default_rng(21)
+        systems += [random_regime_system(rng)[0] for _ in range(240)]
+        systems += [TIGHT, NEAR_CRITICAL, SEAM, FALSE_REGIME]
+        for system in systems:
+            k = closed_form_regime(system)
+            proved, margin = covering_reference(system, k)
+            rep = non_invariance_certificate(system)
+            assert rep.covering_proved == proved
+            assert rep.covering_margin == float(margin)  # the exact L - 1, rounded once
+
+    def test_covering_at_the_rounding_edge(self):
+        # g_0 + ... + g_{k-1} = 1 within two ulps: the float delta_k decides
+        # the regime, and in it L - 1 and the seam margins are a few ulps, so
+        # the covering goes either way and only exact arithmetic can tell.
+        rng = np.random.default_rng(3)
+        outcomes = []
+        for _ in range(1000):
+            k = int(rng.integers(2, 7))
+            head = list(closing(rng.dirichlet(np.ones(k))))
+            head[-1] += float(rng.integers(-2, 3)) * 2.0**-53
+            b = float(rng.uniform(0.05, 0.5))
+            system = make_system(random_weights(rng, k + 2), closing((*head, -b, b)))
+            if closed_form_regime(system) != k:
+                continue
+            proved, margin = covering_reference(system, k)
+            rep = non_invariance_certificate(system)
+            assert (rep.covering_proved, rep.covering_margin) == (proved, float(margin))
+            outcomes.append(proved)
+        assert outcomes.count(True) >= 50 and outcomes.count(False) >= 20
+
+    def test_seam_gap_is_not_proved(self):
+        assert SEAM.G.delta[4] == 1.0000000000000002 and closed_form_regime(SEAM) == 4
+        rep = non_invariance_certificate(SEAM)
+        assert not rep.covering_proved
+        assert rep.covering_margin > 0.0  # L >= 1 holds; a seam fails
+        delta, g = (tuple(map(Fraction, v)) for v in (SEAM.G.delta, SEAM.G.g))
+        L = delta[3] / (1 - g[3])
+        assert delta[2] + g[2] * L < delta[3]
+
+    def test_false_regime_of_item_8b_is_proved(self):
+        assert sum(map(Fraction, FALSE_REGIME.G.g)) == 1 + Fraction(9, 2**57)
+        rep = non_invariance_certificate(FALSE_REGIME)
+        assert closed_form_regime(FALSE_REGIME) == 3
+        assert rep.covering_proved and rep.covering_margin > 0.0
 
     def test_witness_value_at_closing_targets(self):
         # At y = delta_a the walk closes with period (0,) after digit a (at
@@ -541,24 +571,10 @@ class TestNonInvariance:
             digits, _ = unwalk(t, delta[:k], g, depth)
             assert all(d < k for d in digits)
 
-    @given(seed=st.integers(0, 2**32 - 1), y=st.floats(0.0, 1.0), depth=st.sampled_from((1, 16, 64, 200)))
-    def test_joined_descent_matches_unwalk_then_walk(self, seed, y, depth):
-        # The certificate reads each witness value off one descent; it must be
-        # the forward walk of the greedy digits, bit for bit.  With the regime
-        # ratios the residue never leaves [0, 1]; the shrunk ratios leave gaps
-        # between the maps, so there the clamp of both descents acts.
-        system, k = random_regime_system(np.random.default_rng(seed))
-        offsets = system.G.delta[:k]
-        for g in (system.G.g, tuple(0.75 * v for v in system.G.g)):
-            for t in (y, 0.0, 1.0, *(d for d in system.G.delta if 0.0 <= d <= 1.0)):
-                digits, _ = unwalk(t, offsets, g, depth)
-                expected = walk(digits, offsets, g)[0]
-                assert struct.pack("<d", unwalk_value(t, offsets, g, depth)) == struct.pack("<d", expected)
-
     def test_depth_below_one_rejected(self):
         with pytest.raises(ValidationError, match="depth must be at least 1"):
             preimage_residual_bound(CANTOR_MAX, 0)
         with pytest.raises(ValidationError, match="depth must be at least 1"):
-            non_invariance_certificate(CANTOR_MAX, samples=0, depth=0)
+            non_invariance_certificate(CANTOR_MAX, depth=0)
         with pytest.raises(ValidationError, match="depth must be at least 1"):
-            non_invariance_certificate(CANTOR_MAX, samples=16, depth=-3)
+            non_invariance_certificate(CANTOR_MAX, depth=-3)

@@ -47,7 +47,7 @@ VALUES = {
         "allowed",
     ),
     "NonInvarianceReport": (
-        lambda: NonInvarianceReport(0.5, frozenset({0, 1}), 16, 64, 1e-12, 3e-13), "samples"
+        lambda: NonInvarianceReport(0.5, frozenset({0, 1}), True, 1.0, 64, 1e-12, 3e-13), "covering_proved"
     ),
     "HolderReport": (lambda: HolderReport(0.5, "global"), "exponent"),
 }
