@@ -310,15 +310,17 @@ def _cmd_sample(args, config: SystemConfig, fmt: str) -> str:
     if args.points > MAX_POINTS:
         raise ValidationError(f"{args.points} points are above the cap of {MAX_POINTS}")
     system = config.system()
-    rows = selfaffine.sample(system, args.points, depth=args.depth)
+    xs, fs, errs = selfaffine._sample_columns(system, args.points, depth=args.depth)
     if fmt == "svg":
         from . import svgplot  # only svg output needs it
 
         b = system.bounds
         label = f"{config.label}: graph of f ({args.points} target points)"
-        return svgplot.curve_svg(rows, (0.0, b.m, 1.0, b.M), label)
-    # "%.17g" % v is _f(v) for every double; one format per row, not three calls.
-    return "x,f,error_bound\n" + "".join(["%.17g,%.17g,%.17g\n" % row for row in rows])
+        return svgplot.curve_svg(xs, fs, (0.0, b.m, 1.0, b.M), label)
+    # "%.17g" % v is _f(v) for every double: one format over the interleaved columns.
+    flat = [0.0] * (3 * len(xs))
+    flat[0::3], flat[1::3], flat[2::3] = xs, fs, errs
+    return "x,f,error_bound\n" + "%.17g,%.17g,%.17g\n" * len(xs) % tuple(flat)
 
 
 def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:

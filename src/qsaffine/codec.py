@@ -295,7 +295,9 @@ def unwalk(t: float, offsets, scales, depth: int):
 
     Each step takes the digit ``d`` with ``offsets[d] <= t < offsets[d+1]``
     (the larger digit on a tie) and renormalizes ``t`` to ``(t - offsets[d])
-    / scales[d]``, clamped to [0, 1].  A residue of exactly 0 closes with
+    / scales[d]``, clamped to at most 1.  It never falls below 0: the
+    difference is at least +0.0 since ``offsets[d] <= t``, and every scale
+    is positive.  A residue of exactly 0 closes with
     period ``(0,)``; after ``depth`` digits the period is None (truncated).
     It serves y only (``extrema.preimage_digits``, over the digits below k,
     so it has no all-high close); the digits of x come from ``unwalk_into``.
@@ -308,9 +310,7 @@ def unwalk(t: float, offsets, scales, depth: int):
         d = bisect_right(offsets, t) - 1
         digits.append(d)
         t = (t - offsets[d]) / scales[d]
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
+        if t > 1.0:
             t = 1.0
     return tuple(digits), None
 
@@ -349,9 +349,7 @@ def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: flo
         acc += values[d] * prod
         prod *= ratios[d]
         t = (t - offsets[d]) / scales[d]
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
+        if t > 1.0:
             t = 1.0
         if d != hi:
             acc_r, prod_r = acc, prod

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice
 from operator import lt
 from typing import NamedTuple
 
@@ -300,32 +300,62 @@ def _extreme_descent(
     return x, fa
 
 
-def sample(
-    system: SelfAffineSystem, points: int, depth: int | None = None
-) -> list[tuple[float, float, float]]:
-    """Deterministic graph samples ``(x, f(x), error_bound)`` sorted by x.
+def _leaf_count(q, thresh: float, cap: int, limit: int) -> int:
+    """A lower bound on the leaves of ``sample``'s walk, from the weights alone.
 
-    Cylinders are subdivided until their width drops to ``1/(points-1)`` (or
-    ``depth`` digits), and f is evaluated exactly at every left endpoint
-    (plus x = 1), so all error bounds are 0.  On top of the grid, one point
-    near the maximum and one near the minimum are refined to within
-    ``(M - m)/points`` of the certified bounds: the grid alone cannot get
-    close, since f approaches its extrema only at its (often tiny) local
-    regularity exponent.
-
-    The walk is depth first with digits ascending, so the leaves come out in
-    digit order and their left ends normally ascend strictly.  When two of
-    them round to the same double, the first in digit order wins; the point
-    at x = 1 and the refined extremes never displace a leaf at the same x.
-    Once the walk holds more than ``SAMPLE_ROW_CAP`` leaves it stops and
-    raises ``ValidationError``: skewed weights need far more leaves than
-    points (q = (0.999, 0.001) needs about 10^6 at 4096 points).
+    A node's width depends only on how often each digit occurs on its path,
+    so the count goes rank by rank over digit-count vectors, kept sparse as
+    ``((digit, count), ...)`` and mapped to ``(width, multiplicity)``.
+    Every vector makes the walk's decision (leaf, parent of leaves, rank
+    cap), but against ``thresh * (1 + 1e-9)``: its width product rounds in
+    another order than the walk's, by far less than that slack, so each node
+    the walk makes a leaf is a leaf here too and no subtree counts more
+    leaves than the walk writes.  ``low`` counts the leaves so far plus one
+    for each node not yet decided, so it only rises, ends at the count, and
+    is returned as soon as it exceeds ``limit``.
     """
+    s, qmax = len(q), max(q)
+    thresh *= 1.0 + 1e-9
+    low, rank = 1, 0
+    level: dict[tuple[tuple[int, int], ...], tuple[float, int]] = {(): (1.0, 1)}
+    while level:
+        children: dict[tuple[tuple[int, int], ...], tuple[float, int]] = {}
+        for counts, (width, mult) in level.items():
+            if width <= thresh:
+                continue
+            low += (s - 1) * mult  # s leaves, or s undecided children, in place of one node
+            if low > limit:
+                return low
+            if width * qmax <= thresh or rank + 1 >= cap:
+                continue
+            for d, qd in enumerate(q):
+                i = bisect_left(counts, (d,))
+                if i < len(counts) and counts[i][0] == d:
+                    child = (*counts[:i], (d, counts[i][1] + 1), *counts[i + 1:])
+                else:
+                    child = (*counts[:i], (d, 1), *counts[i:])
+                seen = children.get(child)
+                children[child] = (width * qd, mult if seen is None else seen[1] + mult)
+        level, rank = children, rank + 1
+    return low
+
+
+def _sample_columns(
+    system: SelfAffineSystem, points: int, depth: int | None = None
+) -> tuple[list[float], list[float], list[float]]:
+    """The rows of ``sample`` as three columns ``(xs, fs, errs)``, for writers that format whole columns."""
     points = check_count(points, "point count", 2)
     cap = DEPTH_CAP if depth is None else check_count(depth, "depth", 1)
     thresh = 1.0 / (points - 1)
     q, beta = system.Q.q, system.Q.beta
     g, delta = system.G.g, system.G.delta
+    # Each leaf's parent is wider than thresh and the leaves tile [0, 1], so
+    # the walk writes fewer than (points - 1) / min(q) leaves: count first
+    # only where that could pass the cap.
+    too_many = f"sampling at {points} points needs more than {SAMPLE_ROW_CAP} rows"
+    if (points - 1) / min(q) * (1.0 + 1e-9) > SAMPLE_ROW_CAP:
+        if _leaf_count(q, thresh, cap, SAMPLE_ROW_CAP) > SAMPLE_ROW_CAP:
+            raise ValidationError(too_many)
     qmax = max(q)
     leaf_maps = tuple(zip(beta, delta))
     child_maps = tuple(zip(beta, q, delta, g))[::-1]  # pushed reversed: pop order ascending
@@ -351,7 +381,7 @@ def sample(
             for b, qd, d, gd in child_maps:
                 push((x + qp * b, qp * qd, fa + gp * d, gp * gd, rank))
     if len(xs) > SAMPLE_ROW_CAP:
-        raise ValidationError(f"sampling at {points} points needs more than {SAMPLE_ROW_CAP} rows")
+        raise ValidationError(too_many)
     if not all(map(lt, xs, islice(xs, 1, None))):
         # Two left ends rounded to one double.  Filled in reverse, the dict
         # keeps the first leaf in digit order at each x; then sort by x.
@@ -372,4 +402,30 @@ def sample(
     lo_x, lo_f = _extreme_descent(system, False, tol, cap)
     if lo_f < min(fs):
         add(lo_x, lo_f)
-    return list(zip(xs, fs, repeat(0.0)))
+    return xs, fs, [0.0] * len(xs)
+
+
+def sample(
+    system: SelfAffineSystem, points: int, depth: int | None = None
+) -> list[tuple[float, float, float]]:
+    """Deterministic graph samples ``(x, f(x), error_bound)`` sorted by x.
+
+    Cylinders are subdivided until their width drops to ``1/(points-1)`` (or
+    ``depth`` digits), and f is evaluated exactly at every left endpoint
+    (plus x = 1), so all error bounds are 0.  On top of the grid, one point
+    near the maximum and one near the minimum are refined to within
+    ``(M - m)/points`` of the certified bounds: the grid alone cannot get
+    close, since f approaches its extrema only at its (often tiny) local
+    regularity exponent.
+
+    The walk is depth first with digits ascending, so the leaves come out in
+    digit order and their left ends normally ascend strictly.  When two of
+    them round to the same double, the first in digit order wins; the point
+    at x = 1 and the refined extremes never displace a leaf at the same x.
+    A call that needs more than ``SAMPLE_ROW_CAP`` leaves raises
+    ``ValidationError``: skewed weights need far more leaves than points
+    (q = (0.999, 0.001) needs about 10^6 at 4096 points).  Where the leaves
+    could pass the cap, ``_leaf_count`` counts them from the weights before
+    the walk; the walk stops too once it holds more than the cap.
+    """
+    return list(zip(*_sample_columns(system, points, depth)))

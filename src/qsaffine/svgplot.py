@@ -37,11 +37,8 @@ def _title(label: str) -> str:
     )
 
 
-def curve_svg(
-    samples: list[tuple[float, float, float]], y_ticks: tuple[float, ...], label: str
-) -> str:
-    """Polyline over ``(x, f, err)`` samples with horizontal guides at ``y_ticks``."""
-    ys = [f for _, f, _ in samples]
+def curve_svg(xs: list[float], ys: list[float], y_ticks: tuple[float, ...], label: str) -> str:
+    """Polyline through the points ``(xs[i], ys[i])`` with horizontal guides at ``y_ticks``."""
     y_lo = min(min(ys), min(y_ticks))
     y_hi = max(max(ys), max(y_ticks))
     pad = 0.05 * (y_hi - y_lo or 1.0)
@@ -79,9 +76,12 @@ def curve_svg(
             f'<text x="{tx}" y="{_fc(HEIGHT - MARGIN + 16)}" font-size="12" '
             f'text-anchor="middle" fill="#444444">{tick:g}</text>'
         )
-    # py(f) written out: the same float operations without a call per point.
-    points = " ".join(["%.3f,%.3f" % (MARGIN + x * iw, MARGIN + (y_hi - f) / y_span * ih)
-                       for x, f, _ in samples])
+    # py(f) written out: the same float operations without a call per point,
+    # then one format over the interleaved pixel columns.
+    flat = [0.0] * (2 * len(xs))
+    flat[0::2] = [MARGIN + x * iw for x in xs]
+    flat[1::2] = [MARGIN + (y_hi - f) / y_span * ih for f in ys]
+    points = ("%.3f,%.3f " * len(xs))[:-1] % tuple(flat)
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1b4f9c" stroke-width="1"/>'
     )

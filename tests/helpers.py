@@ -148,25 +148,6 @@ def random_binary_point(rng: np.random.Generator, s: int, max_len: int = 12) -> 
     return DigitString(tuple(digits), (0,), s)
 
 
-def value_iteration_bounds(system: SelfAffineSystem, tol: float = 1e-14) -> tuple[float, float]:
-    """Reference ``(m, M)`` by iterating the one-digit hull from the attained ``(0, 1)``.
-
-    The method the library used before its policy-iteration solver, kept as
-    an independent oracle.  It contracts at rate ``max|g|``, so only systems
-    with ratios well inside (-1, 1) converge within the cap.
-    """
-    pairs = list(zip(system.G.delta, system.G.g))
-    m, M = 0.0, 1.0
-    for _ in range(100_000):
-        M1 = max(d + (gi * M if gi > 0 else gi * m) for d, gi in pairs)
-        m1 = min(d + (gi * m if gi > 0 else gi * M) for d, gi in pairs)
-        step = max(abs(M1 - M), abs(m1 - m))
-        m, M = m1, M1
-        if step < tol:
-            return m, M
-    raise AssertionError("value iteration did not converge")
-
-
 def exact_hull_bounds(system: SelfAffineSystem) -> tuple[Fraction, Fraction]:
     """Exact ``(m, M)``: the fixed point of the hull over the stored float ``g`` and ``delta``.
 

@@ -7,6 +7,7 @@ Each test prints a single ``[PASS] criterion N`` line (visible with
 import itertools
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,11 @@ from helpers import (
     FIGURE_CONFIGS,
     LEVEL_SETS,
     SINGULAR_S3,
+    exact_hull_bounds,
     random_admissible_system,
     random_binary_point,
     random_regime_system,
     random_two_sided_period,
-    value_iteration_bounds,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -72,10 +73,11 @@ def test_criterion_3_extrema_oracle_equivalence():
         system, k = random_regime_system(rng, s_min=3, s_max=8)
         M, V = qa.closed_form_max(system)
         m = qa.closed_form_min(system)
-        oracle_m, oracle_M = value_iteration_bounds(system)
-        worst = max(worst, abs(M - oracle_M), abs(m - oracle_m))
-        assert abs(M - oracle_M) <= 1e-10
-        assert abs(m - oracle_m) <= 1e-10
+        oracle_m, oracle_M = exact_hull_bounds(system)
+        gap_M, gap_m = abs(Fraction(M) - oracle_M), abs(Fraction(m) - oracle_m)  # exact gaps
+        worst = max(worst, float(gap_M), float(gap_m))
+        assert gap_M <= 1e-10
+        assert gap_m <= 1e-10
         assert abs(m) < M
         assert 0 not in V and k not in V
         delta, g = system.G.delta, system.G.g

@@ -690,7 +690,7 @@ class TestSvgLabels:
         return ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}text")[-1].text
 
     def test_emitters_escape_the_label(self):
-        assert self.title(svgplot.curve_svg([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], (0.0, 1.0), self.LABEL)) == self.LABEL
+        assert self.title(svgplot.curve_svg([0.0, 1.0], [0.0, 1.0], (0.0, 1.0), self.LABEL)) == self.LABEL
         assert self.title(svgplot.bands_svg([[(0.0, 1.0)]], self.LABEL)) == self.LABEL
 
     @pytest.mark.parametrize("argv", [["sample", "--points", "64"], ["cantor", "--steps", "3"]])
@@ -794,7 +794,7 @@ class TestDepthCap:
     def test_points_above_cap_is_2_before_the_walk(self, capsys, monkeypatch):
         walked = []
         monkeypatch.setattr(
-            selfaffine, "sample", lambda system, points, depth: walked.append(points) or []
+            selfaffine, "_sample_columns", lambda system, points, depth: walked.append(points) or ([], [], [])
         )
         argv = ["sample", "--config", cfg("level_sets"), "--format", "csv"]
         rc, out, err = run(capsys, *argv, "--points", str(MAX_POINTS + 1))
@@ -962,7 +962,8 @@ class TestOnePassFormats:
 
     def test_awkward_values(self, monkeypatch):
         rows = [(x, v, e) for x in AWKWARD for v in AWKWARD for e in AWKWARD[:3]]
-        monkeypatch.setattr(selfaffine, "sample", lambda system, points, depth: rows)
+        columns = tuple(map(list, zip(*rows)))
+        monkeypatch.setattr(selfaffine, "_sample_columns", lambda system, points, depth: columns)
         check_sample(load_config(cfg("identity")), rows, 5)
         stages = [[(lo, hi) for lo in AWKWARD for hi in AWKWARD], [(2 / 3, 0.1), (1.0, 1.0)]]
         monkeypatch.setattr(extrema, "cantor_construction", lambda spec, steps, merged: stages)

@@ -424,6 +424,26 @@ class TestSample:
         rows = sample(system, points, depth)
         assert self.bits(rows) == self.bits(reference_sample(system, points, depth))
 
+    @pytest.mark.parametrize(
+        "q, points, depth",
+        [
+            ((0.999, 0.001), 256, None),  # stopped by DEPTH_CAP
+            ((0.999, 0.001), 1024, None),
+            ((0.99, 0.01), 512, None),
+            ((0.99, 0.01), 512, 40),
+            ((0.9, 0.09, 0.01), 4096, None),
+            ((0.7, 0.2, 0.06, 0.04), 8192, 9),
+            ((0.5, 1e-17, 0.5), 4096, None),
+        ],
+    )
+    def test_leaf_count_matches_the_walk(self, q, points, depth):
+        # Skewed weights, where sample counts before it walks, on systems small enough to walk.
+        system = SelfAffineSystem.from_values(q, q)
+        cap = selfaffine.DEPTH_CAP if depth is None else depth
+        leaves = len(reference_leaves(system, points, depth))
+        assert selfaffine._leaf_count(q, 1.0 / (points - 1), cap, math.inf) == leaves
+        assert selfaffine._leaf_count(q, 1.0 / (points - 1), cap, leaves - 1) > leaves - 1
+
     @pytest.mark.parametrize("q", [(0.5, 1e-17, 0.5), (1e-17, 0.5, 0.5)])
     def test_tied_left_ends_take_the_sorting_tail(self, monkeypatch, q):
         # A cylinder of width 1e-17 has a left end that rounds onto its neighbour's.
