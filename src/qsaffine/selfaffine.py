@@ -163,7 +163,7 @@ def _fixed_point_bounds(system: SelfAffineSystem) -> BoundsPair:
     """
     g, delta, s = system.G.g, system.G.delta, system.s
     pairs = list(zip(delta, g))
-    scale = max(1.0, max(abs(d) for d in delta))
+    scale = max(1.0, max(map(abs, delta)))
     M, m = 1.0, 0.0
     a = b = -1
     steps = 0
@@ -171,8 +171,8 @@ def _fixed_point_bounds(system: SelfAffineSystem) -> BoundsPair:
         up = [d + (gi * M if gi > 0 else gi * m) for d, gi in pairs]
         lo = [d + (gi * m if gi > 0 else gi * M) for d, gi in pairs]
         allowance = 8.0 * EPS * max(scale, M - m)
-        hi_i = max(range(s), key=up.__getitem__)
-        lo_i = min(range(s), key=lo.__getitem__)
+        hi_i = up.index(max(up))
+        lo_i = lo.index(min(lo))
         new_a = a if a >= 0 and up[hi_i] <= up[a] + allowance / 2 else hi_i
         new_b = b if b >= 0 and lo[lo_i] >= lo[b] - allowance / 2 else lo_i
         if (new_a, new_b) == (a, b):
@@ -188,7 +188,7 @@ def _fixed_point_bounds(system: SelfAffineSystem) -> BoundsPair:
         raise CertificationError(
             f"bounds ({m!r}, {M!r}) move by {step!r} under one hull step, above {allowance!r}"
         )
-    gmax = max(abs(v) for v in g)
+    gmax = max(map(abs, g))
     return BoundsPair(m=m, M=M, iterations=steps, residual=(step + allowance) / (1.0 - gmax))
 
 

@@ -186,6 +186,28 @@ def exact_hull_bounds(system: SelfAffineSystem) -> tuple[Fraction, Fraction]:
     raise AssertionError("exact policy iteration did not settle")
 
 
+def reference_moran(Q, allowed) -> float:
+    """``extrema.moran_dimension`` as plain bisection that sums every midpoint, kept as an oracle."""
+    from qsaffine.extrema import MORAN_RESIDUAL, MORAN_XTOL
+
+    V = sorted(frozenset(allowed))
+    if len(V) == Q.s:
+        return 1.0
+    if len(V) == 1:
+        return 0.0
+    weights = [Q.q[i] for i in V]
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        h = math.fsum(w**mid for w in weights) - 1.0
+        if (hi - lo <= MORAN_XTOL and abs(h) <= MORAN_RESIDUAL) or not lo < mid < hi:
+            return mid
+        if h > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def reference_leaves(system: SelfAffineSystem, points: int, depth: int | None = None):
     """Left ends and values ``[(x, f)]`` of the cylinders ``sample`` stops at, in digit order.
 

@@ -49,6 +49,7 @@ from helpers import (
     closing,
     random_regime_system,
     random_weights,
+    reference_moran,
     system as make_system,
 )
 
@@ -296,6 +297,54 @@ class TestMoran:
         else:
             assert 0.0 < x < 1.0
             assert abs(math.fsum(Q.q[i] ** x for i in allowed) - 1.0) <= extrema.MORAN_RESIDUAL
+
+    @given(
+        s=st.integers(2, 8),
+        kind=st.sampled_from(("plain", "tiny", "near_one")),
+        data=st.data(),
+    )
+    def test_same_bits_as_plain_bisection(self, s, kind, data):
+        # The certified window only skips sums whose sign it has proved, so
+        # the root is bit for bit the one that sums every midpoint.
+        if kind == "near_one":
+            # one weight within 1e-9 of 1, the others sharing the rest
+            rest = data.draw(st.floats(1e-15, 1e-9))
+            raw = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=s - 1, max_size=s - 1))
+            weights = closing([*(rest * w / math.fsum(raw) for w in raw), 1.0])
+        else:
+            big = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=s))
+            room = s - len(big) if kind == "tiny" else 0
+            tiny = data.draw(st.lists(st.sampled_from((5e-324, 1e-300)), max_size=room))
+            weights = [*closing([w / math.fsum(big) for w in big]), *tiny]
+            weights = data.draw(st.permutations(weights))
+        Q = StochasticVector(weights)
+        allowed = data.draw(st.sets(st.integers(0, Q.s - 1), min_size=1, max_size=Q.s - 1))
+        assert moran_dimension(Q, allowed) == reference_moran(Q, allowed)
+
+    @pytest.mark.parametrize("name", ("cantor_max", "deep_min_s3", "rough_s3", "singular_s3", "uniform_3998"))
+    def test_regime_roots_same_bits_in_few_sums(self, name, monkeypatch):
+        # The bundled regime configs' two Moran sets, V(M) and {0, ..., k-1},
+        # and 3998 of 4000 equal weights (the s = 4000 regime system).  Plain
+        # bisection sums 48 midpoints at least; at most 16 sums per root
+        # (6 to 11 here) fails a window that falls back to it unnoticed.
+        if name == "uniform_3998":
+            Q, sets = StochasticVector(closing([1 / 4000] * 4000)), [range(3998)]
+        else:
+            system = load_config(CONFIG_DIR / f"{name}.cfg").system()
+            Q, sets = system.Q, [range(closed_form_regime(system)), maxima_set(system).allowed]
+            sets = [V for V in sets if len(V) > 1]  # a singleton returns 0.0 unsummed
+        wants = [reference_moran(Q, allowed) for allowed in sets]
+        real_fsum, sums = math.fsum, []
+
+        def counting_fsum(values):
+            sums[-1] += 1
+            return real_fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        for allowed, want in zip(sets, wants):
+            sums.append(0)
+            assert moran_dimension(Q, allowed) == want
+        assert all(0 < n <= 16 for n in sums), sums
 
 
 class TestMaximaSet:
