@@ -8,7 +8,8 @@ level | preimage | variation.  Every command takes ``--config FILE`` (see
 printed with 17 significant digits, JSON keys are sorted, and no timestamps
 or machine data are ever emitted.  Exit codes: 0 success, 2 validation
 failure, 3 closed-form regime not met, 4 I/O failure, 5 internal failure (a
-failed cross-check of the library itself, not bad input).
+failed cross-check of the library itself, not bad input).  A reader that closes
+stdout early (``| head``) is not a failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from collections.abc import Iterator
 
 from . import extrema, holder, selfaffine
 from .codec import DigitString, FrequencyVector, check_count, decode, encode, walk
@@ -36,6 +39,9 @@ MAX_DEPTH = 2**16
 #: Largest ``sample --points``; on the bundled configs 2**17 gives at most about 376k rows.
 #: Skewed weights need far more, and ``selfaffine.SAMPLE_ROW_CAP`` caps the rows themselves.
 MAX_POINTS = 2**17
+#: Rows per text block of the csv and svg writers: one ``%`` format per block, so the
+#: text held at once does not grow with the file.
+BLOCK_ROWS = 1024
 
 TEXT = ("text", "json")
 PLOT = ("csv", "svg")
@@ -298,7 +304,9 @@ def _analysis_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Command handlers: each takes (args, config, fmt) and returns the text to write.
+# Command handlers: each takes (args, config, fmt) and returns the text to write: one
+# str, or an iterable of str chunks whose inputs are all computed before it is returned,
+# so that every rejection comes before ``--out`` is opened.
 
 
 def _cmd_analyze(args, config: SystemConfig, fmt: str) -> str:
@@ -306,7 +314,7 @@ def _cmd_analyze(args, config: SystemConfig, fmt: str) -> str:
     return _analysis_text(report) if fmt == "text" else _render(report, fmt)
 
 
-def _cmd_sample(args, config: SystemConfig, fmt: str) -> str:
+def _cmd_sample(args, config: SystemConfig, fmt: str) -> str | Iterator[str]:
     if args.points > MAX_POINTS:
         raise ValidationError(f"{args.points} points are above the cap of {MAX_POINTS}")
     system = config.system()
@@ -317,13 +325,21 @@ def _cmd_sample(args, config: SystemConfig, fmt: str) -> str:
         b = system.bounds
         label = f"{config.label}: graph of f ({args.points} target points)"
         return svgplot.curve_svg(xs, fs, (0.0, b.m, 1.0, b.M), label)
-    # "%.17g" % v is _f(v) for every double: one format over the interleaved columns.
-    flat = [0.0] * (3 * len(xs))
-    flat[0::3], flat[1::3], flat[2::3] = xs, fs, errs
-    return "x,f,error_bound\n" + "%.17g,%.17g,%.17g\n" * len(xs) % tuple(flat)
+    return _sample_csv(xs, fs, errs)
 
 
-def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:
+def _sample_csv(xs: list[float], fs: list[float], errs: list[float]) -> Iterator[str]:
+    """The csv header, then one ``%`` format per block of ``BLOCK_ROWS`` rows."""
+    yield "x,f,error_bound\n"
+    for i in range(0, len(xs), BLOCK_ROWS):
+        x = xs[i:i + BLOCK_ROWS]
+        # "%.17g" % v is _f(v) for every double: one format over the interleaved columns.
+        flat = [0.0] * (3 * len(x))
+        flat[0::3], flat[1::3], flat[2::3] = x, fs[i:i + BLOCK_ROWS], errs[i:i + BLOCK_ROWS]
+        yield "%.17g,%.17g,%.17g\n" * len(x) % tuple(flat)
+
+
+def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str | Iterator[str]:
     spec = extrema.maxima_set(config.system())
     stages = extrema.cantor_construction(spec, args.steps, merged=args.merged)
     if fmt == "svg":
@@ -331,10 +347,20 @@ def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str:
 
         label = f"{config.label}: maximum-set construction, digits {_text(sorted(spec.allowed))}"
         return svgplot.bands_svg(stages, label)
-    return "stage,index,left,right\n" + "".join(
-        ["%d,%d,%.17g,%.17g\n" % (t, idx, lo, hi) for t, intervals in enumerate(stages, start=1)
-         for idx, (lo, hi) in enumerate(intervals)]
-    )
+    return _cantor_csv(stages)
+
+
+def _cantor_csv(stages: list[list[tuple[float, float]]]) -> Iterator[str]:
+    """The csv header, then one ``%`` format per block of ``BLOCK_ROWS`` rows of each stage."""
+    yield "stage,index,left,right\n"
+    for t, intervals in enumerate(stages, start=1):
+        row = f"{t},%d,%.17g,%.17g\n"
+        for i in range(0, len(intervals), BLOCK_ROWS):
+            block = intervals[i:i + BLOCK_ROWS]
+            flat = [0.0] * (3 * len(block))
+            flat[0::3] = range(i, i + len(block))
+            flat[1::3], flat[2::3] = zip(*block)
+            yield row * len(block) % tuple(flat)
 
 
 def _point_error(d: DigitString, Q) -> float:
@@ -437,11 +463,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"format {fmt!r} not supported here; choose one of {args.formats}"
             )
         text = args.run(args, load_config(args.config), fmt)
+        chunks = [text] if isinstance(text, str) else text
         if args.out is None:
-            sys.stdout.write(text)
+            _write_stdout(chunks)
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
     except ConditionsNotMet as exc:
         _diagnostic(exc)
         return EXIT_CONDITIONS
@@ -455,6 +482,16 @@ def main(argv: list[str] | None = None) -> int:
         _diagnostic(exc)
         return EXIT_IO
     return EXIT_OK
+
+
+def _write_stdout(chunks: list[str] | Iterator[str]) -> None:
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``), which is not a failure.  Point stdout
+        # at devnull, so that the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _diagnostic(exc: Exception) -> None:

@@ -1,10 +1,14 @@
 """Minimal deterministic SVG emitters for curves and construction bands.
 
 Self-contained static markup, no scripting, fixed-precision coordinates:
-identical inputs produce byte-identical documents.
+identical inputs produce byte-identical documents.  Each document is one str,
+built from blocks of ``cli.BLOCK_ROWS`` points or rects, one ``%`` format per
+block, and joined once.
 """
 
 from __future__ import annotations
+
+from . import cli
 
 WIDTH = 900
 HEIGHT = 560
@@ -76,33 +80,39 @@ def curve_svg(xs: list[float], ys: list[float], y_ticks: tuple[float, ...], labe
             f'<text x="{tx}" y="{_fc(HEIGHT - MARGIN + 16)}" font-size="12" '
             f'text-anchor="middle" fill="#444444">{tick:g}</text>'
         )
-    # py(f) written out: the same float operations without a call per point,
-    # then one format over the interleaved pixel columns.
-    flat = [0.0] * (2 * len(xs))
-    flat[0::2] = [MARGIN + x * iw for x in xs]
-    flat[1::2] = [MARGIN + (y_hi - f) / y_span * ih for f in ys]
-    points = ("%.3f,%.3f " * len(xs))[:-1] % tuple(flat)
-    parts.append(
-        f'<polyline points="{points}" fill="none" stroke="#1b4f9c" stroke-width="1"/>'
-    )
-    parts.append(_title(label))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # py(f) written out: the same float operations without a call per point, then one
+    # format per block over its interleaved pixel columns, a space between points.
+    doc = ["\n".join(parts), '\n<polyline points="']
+    step = cli.BLOCK_ROWS
+    for i in range(0, len(xs), step):
+        x = xs[i:i + step]
+        flat = [0.0] * (2 * len(x))
+        flat[0::2] = [MARGIN + v * iw for v in x]
+        flat[1::2] = [MARGIN + (y_hi - f) / y_span * ih for f in ys[i:i + step]]
+        points = " %.3f,%.3f" * len(x)
+        doc.append((points[1:] if i == 0 else points) % tuple(flat))
+    doc += ['" fill="none" stroke="#1b4f9c" stroke-width="1"/>\n', _title(label), "\n</svg>\n"]
+    return "".join(doc)
 
 
 def bands_svg(stages: list[list[tuple[float, float]]], label: str) -> str:
     """Stacked rows of intervals, one row per construction stage."""
     iw = WIDTH - 2 * MARGIN
-    parts = _header(2 * MARGIN + ROW_HEIGHT * len(stages))
+    parts = ["\n".join(_header(2 * MARGIN + ROW_HEIGHT * len(stages))), "\n"]
+    step = cli.BLOCK_ROWS
     for t, intervals in enumerate(stages):
         y = MARGIN + t * ROW_HEIGHT
         parts.append(
             f'<text x="{_fc(MARGIN - 8)}" y="{_fc(y + ROW_HEIGHT / 2)}" font-size="12" '
-            f'text-anchor="end" dominant-baseline="middle" fill="#444444">{t + 1}</text>'
+            f'text-anchor="end" dominant-baseline="middle" fill="#444444">{t + 1}</text>\n'
         )
         rect = (f'<rect x="%.3f" y="{_fc(y + 4)}" width="%.3f" height="{ROW_HEIGHT - 12}" '
-                'fill="#1b4f9c"/>')
-        parts += [rect % (MARGIN + lo * iw, max(hi - lo, 0.0) * iw) for lo, hi in intervals]
-    parts.append(_title(label))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                'fill="#1b4f9c"/>\n')
+        for i in range(0, len(intervals), step):
+            block = intervals[i:i + step]
+            flat = [0.0] * (2 * len(block))
+            flat[0::2] = [MARGIN + lo * iw for lo, _ in block]
+            flat[1::2] = [max(hi - lo, 0.0) * iw for lo, hi in block]
+            parts.append(rect * len(block) % tuple(flat))
+    parts += [_title(label), "\n</svg>\n"]
+    return "".join(parts)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -918,7 +919,7 @@ def check_sample(config, rows, points):
     """Both ``sample`` outputs of ``rows`` equal the per-value references."""
     args = argparse.Namespace(points=points, depth=None)
     csv = "".join(f"{_f(x)},{_f(v)},{_f(e)}\n" for x, v, e in rows)
-    assert lines(cli._cmd_sample(args, config, "csv")) == lines("x,f,error_bound\n" + csv)
+    assert lines("".join(cli._cmd_sample(args, config, "csv"))) == lines("x,f,error_bound\n" + csv)
     b = config.system().bounds
     label = f"{config.label}: graph of f ({points} target points)"
     expected = reference_curve_svg(rows, (0.0, b.m, 1.0, b.M), label)
@@ -933,7 +934,7 @@ def check_cantor(config, stages, steps, merged):
         for t, intervals in enumerate(stages, start=1)
         for idx, (lo, hi) in enumerate(intervals)
     )
-    assert lines(cli._cmd_cantor(args, config, "csv")) == lines("stage,index,left,right\n" + csv)
+    assert lines("".join(cli._cmd_cantor(args, config, "csv"))) == lines("stage,index,left,right\n" + csv)
     digits = cli._text(sorted(extrema.maxima_set(config.system()).allowed))
     label = f"{config.label}: maximum-set construction, digits {digits}"
     assert lines(cli._cmd_cantor(args, config, "svg")) == lines(reference_bands_svg(stages, label))
@@ -968,3 +969,101 @@ class TestOnePassFormats:
         stages = [[(lo, hi) for lo in AWKWARD for hi in AWKWARD], [(2 / 3, 0.1), (1.0, 1.0)]]
         monkeypatch.setattr(extrema, "cantor_construction", lambda spec, steps, merged: stages)
         check_cantor(load_config(cfg("cantor_max")), stages, 2, False)
+
+
+#: Skewed weights: at 8192 points the walk needs more than ``selfaffine.SAMPLE_ROW_CAP`` rows.
+SKEWED = "q: [999/1000, 1/1000]\ng: [1/2, 1/2]\n"
+
+
+class TestBlockedWrites:
+    """``sample`` and ``cantor`` text is written in blocks of ``cli.BLOCK_ROWS`` rows."""
+
+    B = 4
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_block_boundaries_match_per_value_references(self, monkeypatch, n):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", self.B)
+        rows = [(x, v, e) for x in AWKWARD for v in AWKWARD for e in AWKWARD[:3]][:n]
+        columns = tuple(map(list, zip(*rows)))
+        monkeypatch.setattr(selfaffine, "_sample_columns", lambda system, points, depth: columns)
+        check_sample(load_config(cfg("identity")), rows, 5)
+        intervals = [(lo, hi) for lo in AWKWARD for hi in AWKWARD][:n]
+        stages = [intervals, intervals[:1], [], intervals]
+        monkeypatch.setattr(extrema, "cantor_construction", lambda spec, steps, merged: stages)
+        check_cantor(load_config(cfg("cantor_max")), stages, len(stages), False)
+
+    def test_curve_of_no_points_is_rejected(self):
+        # The y range of no values is undefined.
+        with pytest.raises(ValueError):
+            svgplot.curve_svg([], [], (0.0, 1.0), "empty")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["sample", "--config", cfg("level_sets"), "--points", str(MAX_POINTS + 1)], 2),
+            (["sample", "--config", SKEWED, "--points", "8192"], 2),
+            (["cantor", "--config", cfg("cantor_max"), "--steps", "20"], 2),
+            (["cantor", "--config", cfg("identity"), "--steps", "3"], 3),
+        ],
+        ids=["points-above-cap", "rows-above-cap", "intervals-above-cap", "no-regime"],
+    )
+    @pytest.mark.parametrize("existing", [b"kept\n", None], ids=["existing", "absent"])
+    def test_failure_leaves_out_untouched(self, capsys, tmp_path, argv, code, existing):
+        # The walk and the construction run before the handler returns its
+        # chunks, so a rejection comes before the file is opened.
+        argv = [write_config(tmp_path, a) if a == SKEWED else a for a in argv]
+        out = tmp_path / "out.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc, stdout, _ = run(capsys, *argv, "--format", "csv", "--out", str(out))
+        assert (rc, stdout) == (code, "")
+        assert (out.read_bytes() if out.exists() else None) == existing
+
+    def test_closed_stdout_pipe_exits_0_quietly(self):
+        # 16384 points write about 1.9 MB, far more than a pipe holds: the child
+        # is still writing when the reader closes its end, as with ``| head -1``.
+        code = "import sys; from qsaffine.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["sample", "--config", cfg("level_sets"), "--points", "16384", "--format", "csv"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), first, err) == (0, b"x,f,error_bound\n", b"")
+
+    @staticmethod
+    def traced_peak_mb(argv, out):
+        """The tracemalloc peak of one ``main`` call writing to ``out``, after a warm-up call."""
+        argv = [*argv, "--out", str(out)]
+        assert main(argv) == 0  # builds the parser and loads svgplot
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        return peak / 2**20
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_sample_output_stage_is_bounded(self, monkeypatch, tmp_path, fmt):
+        # Measured at 48494 rows: csv 0.12 MB (5.09 MB one string at a time),
+        # svg 1.51 MB for a 0.74 MB file (5.91 MB).
+        columns = selfaffine._sample_columns(load_config(cfg("level_sets")).system(), 16384, depth=None)
+        monkeypatch.setattr(selfaffine, "_sample_columns", lambda system, points, depth: columns)
+        out = tmp_path / f"out.{fmt}"
+        argv = ["sample", "--config", cfg("level_sets"), "--points", "16384", "--format", fmt]
+        peak = self.traced_peak_mb(argv, out)
+        assert peak < (0.5 if fmt == "csv" else 2.5 * out.stat().st_size / 2**20)
+
+    def test_cantor_csv_output_stage_is_bounded(self, monkeypatch, tmp_path):
+        # 13 steps of cantor_max: 2**14 - 2 intervals.  Measured 0.16 MB (2.37 MB
+        # one string at a time).
+        spec = extrema.maxima_set(load_config(cfg("cantor_max")).system())
+        stages = extrema.cantor_construction(spec, 13)
+        monkeypatch.setattr(extrema, "cantor_construction", lambda spec, steps, merged: stages)
+        argv = ["cantor", "--config", cfg("cantor_max"), "--steps", "13", "--format", "csv"]
+        assert self.traced_peak_mb(argv, tmp_path / "out.csv") < 0.5
