@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from . import extrema, holder, selfaffine
 from .codec import DigitString, FrequencyVector, check_count, decode, encode, walk
@@ -39,8 +39,8 @@ MAX_DEPTH = 2**16
 #: Largest ``sample --points``; on the bundled configs 2**17 gives at most about 376k rows.
 #: Skewed weights need far more, and ``selfaffine.SAMPLE_ROW_CAP`` caps the rows themselves.
 MAX_POINTS = 2**17
-#: Rows per text block of the csv and svg writers: one ``%`` format per block, so the
-#: text held at once does not grow with the file.
+#: Rows per block of ``_blocks``, the one formatter of the csv and svg tables: one ``%``
+#: format per block, so the text held at once does not grow with the file.
 BLOCK_ROWS = 1024
 
 TEXT = ("text", "json")
@@ -217,15 +217,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
             "tolerance": ANALYZE_TOL,
         }
         report = extrema.non_invariance_certificate(system, depth=depth)
-        non_invariance = {
-            "restricted_digits": sorted(report.restricted_digits),
-            "dimension": report.dimension,
-            "covering_proved": report.covering_proved,
-            "covering_margin": report.covering_margin,
-            "depth": report.depth,
-            "residual_bound": report.residual_bound,
-            "max_residual": report.max_residual,
-        }
+        non_invariance = {**report._asdict(), "restricted_digits": sorted(report.restricted_digits)}
 
     return {
         "system": {
@@ -328,15 +320,23 @@ def _cmd_sample(args, config: SystemConfig, fmt: str) -> str | Iterator[str]:
     return _sample_csv(xs, fs, errs)
 
 
+def _blocks(row: str, n: int, columns: Callable[[int, int], tuple]) -> Iterator[str]:
+    """``row`` formatted for rows 0 to ``n - 1``, one ``%`` per block of ``BLOCK_ROWS``
+    rows; ``columns(i, j)`` gives the format's columns for rows ``i`` to ``j - 1``."""
+    for i in range(0, n, BLOCK_ROWS):
+        j = min(i + BLOCK_ROWS, n)
+        cols = columns(i, j)
+        m = len(cols)
+        flat = [0.0] * (m * (j - i))
+        for c, col in enumerate(cols):
+            flat[c::m] = col
+        yield row * (j - i) % tuple(flat)
+
+
 def _sample_csv(xs: list[float], fs: list[float], errs: list[float]) -> Iterator[str]:
-    """The csv header, then one ``%`` format per block of ``BLOCK_ROWS`` rows."""
+    """The csv header, then the rows in blocks; "%.17g" % v is _f(v) for every double."""
     yield "x,f,error_bound\n"
-    for i in range(0, len(xs), BLOCK_ROWS):
-        x = xs[i:i + BLOCK_ROWS]
-        # "%.17g" % v is _f(v) for every double: one format over the interleaved columns.
-        flat = [0.0] * (3 * len(x))
-        flat[0::3], flat[1::3], flat[2::3] = x, fs[i:i + BLOCK_ROWS], errs[i:i + BLOCK_ROWS]
-        yield "%.17g,%.17g,%.17g\n" * len(x) % tuple(flat)
+    yield from _blocks("%.17g,%.17g,%.17g\n", len(xs), lambda i, j: (xs[i:j], fs[i:j], errs[i:j]))
 
 
 def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str | Iterator[str]:
@@ -351,16 +351,13 @@ def _cmd_cantor(args, config: SystemConfig, fmt: str) -> str | Iterator[str]:
 
 
 def _cantor_csv(stages: list[list[tuple[float, float]]]) -> Iterator[str]:
-    """The csv header, then one ``%`` format per block of ``BLOCK_ROWS`` rows of each stage."""
+    """The csv header, then the rows of each stage in blocks."""
     yield "stage,index,left,right\n"
     for t, intervals in enumerate(stages, start=1):
-        row = f"{t},%d,%.17g,%.17g\n"
-        for i in range(0, len(intervals), BLOCK_ROWS):
-            block = intervals[i:i + BLOCK_ROWS]
-            flat = [0.0] * (3 * len(block))
-            flat[0::3] = range(i, i + len(block))
-            flat[1::3], flat[2::3] = zip(*block)
-            yield row * len(block) % tuple(flat)
+        yield from _blocks(
+            f"{t},%d,%.17g,%.17g\n", len(intervals),
+            lambda i, j: (range(i, j), *zip(*intervals[i:j])),
+        )
 
 
 def _point_error(d: DigitString, Q) -> float:

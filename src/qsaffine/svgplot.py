@@ -1,9 +1,9 @@
 """Minimal deterministic SVG emitters for curves and construction bands.
 
 Self-contained static markup, no scripting, fixed-precision coordinates:
-identical inputs produce byte-identical documents.  Each document is one str,
-built from blocks of ``cli.BLOCK_ROWS`` points or rects, one ``%`` format per
-block, and joined once.
+identical inputs produce byte-identical documents.  Each document is one str:
+``cli._blocks``, the formatter of the csv writers too, gives the points and
+rects one ``%`` format per block, and the blocks are joined once.
 """
 
 from __future__ import annotations
@@ -80,17 +80,14 @@ def curve_svg(xs: list[float], ys: list[float], y_ticks: tuple[float, ...], labe
             f'<text x="{tx}" y="{_fc(HEIGHT - MARGIN + 16)}" font-size="12" '
             f'text-anchor="middle" fill="#444444">{tick:g}</text>'
         )
-    # py(f) written out: the same float operations without a call per point, then one
-    # format per block over its interleaved pixel columns, a space between points.
+    # py(f) written out: the same float operations without a call per point, computed
+    # one block at a time; a space between points, so the first block drops its first.
     doc = ["\n".join(parts), '\n<polyline points="']
-    step = cli.BLOCK_ROWS
-    for i in range(0, len(xs), step):
-        x = xs[i:i + step]
-        flat = [0.0] * (2 * len(x))
-        flat[0::2] = [MARGIN + v * iw for v in x]
-        flat[1::2] = [MARGIN + (y_hi - f) / y_span * ih for f in ys[i:i + step]]
-        points = " %.3f,%.3f" * len(x)
-        doc.append((points[1:] if i == 0 else points) % tuple(flat))
+    doc += cli._blocks(" %.3f,%.3f", len(xs), lambda i, j: (
+        [MARGIN + v * iw for v in xs[i:j]],
+        [MARGIN + (y_hi - f) / y_span * ih for f in ys[i:j]],
+    ))
+    doc[2] = doc[2][1:]
     doc += ['" fill="none" stroke="#1b4f9c" stroke-width="1"/>\n', _title(label), "\n</svg>\n"]
     return "".join(doc)
 
@@ -99,7 +96,6 @@ def bands_svg(stages: list[list[tuple[float, float]]], label: str) -> str:
     """Stacked rows of intervals, one row per construction stage."""
     iw = WIDTH - 2 * MARGIN
     parts = ["\n".join(_header(2 * MARGIN + ROW_HEIGHT * len(stages))), "\n"]
-    step = cli.BLOCK_ROWS
     for t, intervals in enumerate(stages):
         y = MARGIN + t * ROW_HEIGHT
         parts.append(
@@ -108,11 +104,9 @@ def bands_svg(stages: list[list[tuple[float, float]]], label: str) -> str:
         )
         rect = (f'<rect x="%.3f" y="{_fc(y + 4)}" width="%.3f" height="{ROW_HEIGHT - 12}" '
                 'fill="#1b4f9c"/>\n')
-        for i in range(0, len(intervals), step):
-            block = intervals[i:i + step]
-            flat = [0.0] * (2 * len(block))
-            flat[0::2] = [MARGIN + lo * iw for lo, _ in block]
-            flat[1::2] = [max(hi - lo, 0.0) * iw for lo, hi in block]
-            parts.append(rect * len(block) % tuple(flat))
+        parts += cli._blocks(rect, len(intervals), lambda i, j: (
+            [MARGIN + lo * iw for lo, _ in intervals[i:j]],
+            [max(hi - lo, 0.0) * iw for lo, hi in intervals[i:j]],
+        ))
     parts += [_title(label), "\n</svg>\n"]
     return "".join(parts)

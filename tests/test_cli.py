@@ -513,6 +513,28 @@ class TestColdStart:
         assert (proc.returncode, proc.stdout) == (rc, out.encode("utf-8"))
         assert rc == 0 and out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--config", cfg("level_sets"), "--points", "64", "--format", "csv"],
+            ["cantor", "--config", cfg("cantor_max"), "--steps", "3", "--format", "csv"],
+        ],
+        ids=["sample-csv", "cantor-csv"],
+    )
+    def test_csv_child_matches_main_without_svgplot(self, capsys, argv):
+        # the block formatter lives in cli, so csv output never loads svgplot
+        rc, out, _ = run(capsys, *argv)
+        code = (
+            "import sys; from qsaffine.cli import main; rc = main(sys.argv[1:]); "
+            "print('qsaffine.svgplot' in sys.modules, file=sys.stderr); sys.exit(rc)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, env=CHILD_ENV, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (rc, out.encode("utf-8"))
+        assert proc.stderr == b"False\n"
+        assert rc == 0 and out.count("\n") > 2
+
 
 class TestRoundTrips:
     def test_encode_then_decode_within_printed_bound(self, capsys):
