@@ -139,27 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _level_rows(quotients: list[float], tolerance: float) -> list[dict]:
-    """Level rows by ascending value, each with the digits of its level set no earlier row holds.
-
-    One walk over the sorted ``(y, i)`` pairs.  A row starts at the first
-    pair no row holds yet, so every lower value is placed, and takes the
-    pairs that follow while ``abs(v - y) <= tolerance``: ``fl(v - y)``
-    never falls as v grows, so these are the unplaced digits i with
-    ``|quotients[i] - y| <= tolerance``, found in O(s log s).
-    """
-    pairs = sorted(zip(quotients, range(len(quotients))))
-    rows = []
-    start = 0
-    while start < len(pairs):
-        y = pairs[start][0]
-        end = start + 1
-        while end < len(pairs) and abs(pairs[end][0] - y) <= tolerance:
-            end += 1
-        digits = sorted(i for _, i in pairs[start:end])
-        rows.append({"y": y, "digits": digits, "continuum": len(digits) >= 2, "tolerance": tolerance})
-        start = end
-    return rows
+def _level_row(y: float, digits: list[int], tolerance: float) -> dict:
+    """A printed level row of ``level`` and ``analyze``: the one place ``continuum`` is set."""
+    return {"y": y, "digits": digits, "continuum": len(digits) >= 2, "tolerance": tolerance}
 
 
 def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) -> dict:
@@ -167,8 +149,9 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
 
     One pass: the quotients, M, V(M) and m come from one
     ``extrema._closed_forms`` call, and the logs of the exponents from
-    ``system.logs``.  Each block equals what the public functions give:
-    ``level_set`` per level row (``_level_rows``),
+    ``system.logs``.  The level rows are grouped by ``extrema._level_rows``
+    and only formatted here (``_level_row``).  Each block equals what the
+    public functions give: ``level_set`` per level row,
     ``closed_form_max``/``closed_form_min``, ``maxima_set``, the ``holder``
     exponents and predicates, and ``non_invariance_certificate``: the exact
     covering check and the residual of the y = 1 witness.
@@ -195,7 +178,8 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
         "oracle_residual": oracle.residual,
     }
 
-    levels = _level_rows(forms.quotients, tolerance)
+    rows = extrema._level_rows(forms.quotients, tolerance)
+    levels = [_level_row(y, digits, tolerance) for y, digits in rows]
 
     exponents = {
         key: {"value": exponent(system).exponent, "tolerance": ANALYZE_TOL}
@@ -423,12 +407,7 @@ def _cmd_holder(args, config: SystemConfig, fmt: str) -> str:
 
 def _cmd_level(args, config: SystemConfig, fmt: str) -> str:
     desc = extrema.level_set(config.system(), args.y, tol=args.tolerance)
-    payload = {
-        "y": desc.y,
-        "digits": sorted(desc.V),
-        "continuum": desc.continuum,
-        "tolerance": args.tolerance,
-    }
+    payload = _level_row(desc.y, sorted(desc.V), args.tolerance)
     return _render(payload, fmt, "y", "digits", "continuum")
 
 

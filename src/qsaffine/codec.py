@@ -386,20 +386,17 @@ def string_sum(prefix, period, offsets, scales) -> tuple[float, float]:
 
 
 def decode(d: DigitString, Q: StochasticVector) -> float:
-    """Sum the expansion of ``d`` under ``Q`` with ``string_sum``, clamped to [0, 1].
+    """Sum the expansion of ``d`` under ``Q`` with ``string_sum``, clamped to at most 1.
 
     Periodic tails are summed in closed form.  For a truncated string the
     partial sum (the left endpoint of its cylinder) is returned; the caller's
     error is at most the cylinder length, i.e. the product of the consumed
-    weights (see ``cylinder_bounds``).
+    weights (see ``cylinder_bounds``).  The sum never falls below 0: every
+    offset, weight and periodic tail is non-negative.  It can round above 1.
     """
     check_alphabet(d, Q.s)
     acc = string_sum(d.prefix, d.period, Q.beta, Q.q)[0]
-    if acc < 0.0:
-        return 0.0
-    if acc > 1.0:
-        return 1.0
-    return acc
+    return 1.0 if acc > 1.0 else acc
 
 
 def encode(x: float, Q: StochasticVector, depth: int) -> DigitString:

@@ -245,7 +245,7 @@ def _closed_forms(system: SelfAffineSystem) -> _ClosedForms:
 
     ``closed_form_max``, ``closed_form_min`` and ``maxima_set`` read their
     values from here, and ``cli.build_analysis`` calls it once per system
-    for all of them and its level rows.  V(M) is ``level_set(system, M).V``
+    for all of them and for ``_level_rows``.  V(M) is ``level_set(system, M).V``
     from the same quotients.  Every regime value is checked before it is
     returned: M against the bounds solver, then ``0, k not in V``, then
     ``|m| < M`` and m against the bounds solver.
@@ -320,6 +320,24 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
         i for i in range(system.s) if abs(delta[i] / (1.0 - g[i]) - y) <= tol
     )
     return LevelSetDescriptor(y=float(y), V=V)
+
+
+def _level_rows(quotients: list[float], tol: float) -> list[tuple[float, list[int]]]:
+    """``(y, digits)`` per level by ascending y: the digits of ``level_set`` at y that no
+    earlier level holds, from one walk over the sorted ``(quotient, digit)`` pairs.
+
+    A level starts at the first unplaced value y, so every lower value is
+    placed, and takes each next pair while ``v - y <= tol``: ``fl(v - y)``
+    never falls as v grows, so it takes every unplaced i with
+    ``|quotients[i] - y| <= tol``.
+    """
+    rows: list[tuple[float, list[int]]] = []
+    for v, i in sorted(zip(quotients, range(len(quotients)))):
+        if rows and v - rows[-1][0] <= tol:
+            rows[-1][1].append(i)
+        else:
+            rows.append((v, [i]))
+    return [(y, sorted(digits)) for y, digits in rows]
 
 
 def level_witness(system: SelfAffineSystem, V, leading_zeros: int = 0) -> DigitString:

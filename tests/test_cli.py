@@ -166,7 +166,8 @@ class TestAnalyze:
             expected.append(
                 {"y": y, "digits": sorted(digits), "continuum": len(digits) >= 2, "tolerance": tol}
             )
-        assert cli._level_rows(quotients, tol) == expected
+        rows = extrema._level_rows(quotients, tol)
+        assert [cli._level_row(y, digits, tol) for y, digits in rows] == expected
 
     def test_text_and_json_are_byte_stable(self, capsys):
         for fmt in ("text", "json"):
@@ -397,6 +398,7 @@ class TestExitCodes:
             ("q: [1/2, half]\ng: [1/2, 1/2]\n", "cannot parse number 'half'"),
             ("label: no-g\nq: [1/2, 1/2]\n", "both q and g"),
             ("q: [1/3, 1/3, 1/3]\ng: [1/2, 1/2]\n", "equal length"),
+            ("q: [1]\ng: [1]\n", "at least 2 entries required in q and g"),
             ("q: [1e400, 1/2]\ng: [1/2, 1/2]\n", "number '1e400' overflows a double"),
             # Fraction alone would build 10**999999999 before anything else ran.
             ("q: [1e999999999, 1/2]\ng: [1/2, 1/2]\n", "overflows a double"),
@@ -406,7 +408,7 @@ class TestExitCodes:
         ],
         ids=[
             "duplicate-key", "unknown-key", "line-without-colon", "unbracketed-array",
-            "empty-array", "unparsable-token", "missing-g", "length-mismatch",
+            "empty-array", "unparsable-token", "missing-g", "length-mismatch", "one-entry",
             "overflowing-token", "huge-exponent", "non-utf8-bytes", "control-character-label",
         ],
     )

@@ -24,7 +24,7 @@ from qsaffine import (
     preimage_digits,
     twin_representation,
 )
-from qsaffine.codec import unwalk, unwalk_into, walk
+from qsaffine.codec import string_sum, unwalk, unwalk_into, walk
 from helpers import (
     CANTOR_MAX,
     LEVEL_SETS,
@@ -77,6 +77,10 @@ class TestValidation:
             StochasticVector((1.0, 0.0))
         with pytest.raises(ValidationError):
             StochasticVector((1.5, -0.5))
+
+    def test_rejects_a_single_weight(self):
+        with pytest.raises(ValidationError, match="alphabet size must be at least 2"):
+            StochasticVector((0.5,))
 
     def test_no_silent_renormalization(self):
         # close to valid but outside tolerance: must raise, never rescale
@@ -179,6 +183,13 @@ class TestDecode:
     def test_alphabet_checked(self):
         with pytest.raises(InvalidDigit):
             decode(DigitString((1,), (0,), 3), Q4)
+
+    def test_sum_rounding_above_one_is_clamped(self):
+        # Forty top digits sum to one ulp above 1 on these weights; the point is at most 1.
+        Q = StochasticVector(tuple(float(Fraction(t)) for t in ("14/47", "33/94", "13/94", "10/47")))
+        d = DigitString((3,) * 40, None, 4)
+        assert string_sum(d.prefix, d.period, Q.beta, Q.q)[0] == 1.0000000000000002
+        assert decode(d, Q) == 1.0
 
 
 class TestSharedSum:

@@ -17,6 +17,7 @@ from qsaffine import (
     InvalidDigit,
     OutOfDomain,
     PreconditionViolated,
+    SelfAffineSystem,
     StochasticVector,
     ValidationError,
     cantor_construction,
@@ -237,6 +238,10 @@ class TestDerivedLevels:
             level_witness(LEVEL_SETS, (1, 5))
         assert level_witness(LEVEL_SETS, (np.int64(3), True)) == DigitString((), (1, 3), 5)
 
+    def test_witness_rejects_an_empty_digit_set(self):
+        with pytest.raises(ValidationError, match="witness needs a non-empty digit set"):
+            level_witness(LEVEL_SETS, [])
+
     def test_witness_identity(self):
         w = level_witness(LEVEL_SETS, (1, 3), leading_zeros=1)
         assert w == DigitString((0,), (1, 3), 5)
@@ -246,6 +251,13 @@ class TestDerivedLevels:
     def test_requires_continuum_level(self):
         with pytest.raises(PreconditionViolated):
             derived_levels(LEVEL_SETS, 0.3, 2)
+
+    def test_requires_a_positive_zero_digit_ratio(self):
+        # y = 0 is a continuum level, V = {0, 2}, but g_0 < 0 cannot shift it.
+        system = SelfAffineSystem.from_values((0.25,) * 4, (-0.5, 0.5, 0.5, 0.5))
+        assert level_set(system, 0.0).V == {0, 2}
+        with pytest.raises(PreconditionViolated, match="zero-digit ratio must be positive"):
+            derived_levels(system, 0.0, 1)
 
 
 class TestMoran:

@@ -356,6 +356,8 @@ class TestGlobalBounds:
                 SelfAffineSystem.from_values((0.25,) * 4, (-r, 0.5, r, 0.5)),
                 SelfAffineSystem.from_values((0.2, 0.3, 0.3, 0.2), (0.6, 0.7, -r, r - 0.3)),
             ]
+        # Policy (a, b) = (5, 1), both ratios negative; on the rationals M = 9/7 and m = -3/7.
+        cases.append(SelfAffineSystem.from_values((1 / 6,) * 6, (0.6, -0.8, 0.4, 0.8, 0.2, -0.2)))
         return cases
 
     def test_exact_fixed_point_within_residual(self):
@@ -368,6 +370,19 @@ class TestGlobalBounds:
     def test_policy_steps_at_most_s_squared(self):
         for system in self.solver_cases():
             assert 1 <= global_bounds(system).iterations <= system.s**2, system.G.g
+
+    def test_a_case_solves_a_two_negative_policy(self, monkeypatch):
+        # The last branch of _policy_value: arg-max and arg-min digits with negative ratios.
+        both, solve = [], selfaffine._policy_value
+
+        def spy(delta, g, a, b):
+            both.append(g[a] < 0 and g[b] < 0)
+            return solve(delta, g, a, b)
+
+        monkeypatch.setattr(selfaffine, "_policy_value", spy)
+        for system in self.solver_cases():
+            global_bounds(system)
+        assert any(both)
 
 
 class TestSample:
@@ -409,6 +424,13 @@ class TestSample:
     def test_points_validated(self):
         with pytest.raises(ValidationError):
             sample(IDENTITY_S3, 1)
+
+    def test_walk_rejects_rows_past_the_cap(self, monkeypatch):
+        # The walk's own cap check, behind the count before it: with no count, it rejects.
+        monkeypatch.setattr(selfaffine, "SAMPLE_ROW_CAP", 1000)
+        monkeypatch.setattr(selfaffine, "_leaf_count", lambda q, thresh, cap, limit: 0)
+        with pytest.raises(ValidationError, match="needs more than 1000 rows"):
+            sample(CANTOR_MAX, 4096)
 
     @staticmethod
     def bits(rows):
