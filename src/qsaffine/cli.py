@@ -147,14 +147,23 @@ def _level_row(y: float, digits: list[int], tolerance: float) -> dict:
 def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) -> dict:
     """Deterministic aggregate report; every numeric block carries its tolerance.
 
-    One pass: the quotients, M, V(M) and m come from one
-    ``extrema._closed_forms`` call, and the logs of the exponents from
-    ``system.logs``.  The level rows are grouped by ``extrema._level_rows``
-    and only formatted here (``_level_row``).  Each block equals what the
-    public functions give: ``level_set`` per level row,
-    ``closed_form_max``/``closed_form_min``, ``maxima_set``, the ``holder``
-    exponents and predicates, and ``non_invariance_certificate``: the exact
-    covering check and the residual of the y = 1 witness.
+    One pass, each step once, on values already checked: the tolerance and
+    depth here, the system by ``config.system()``.  Each block reads one
+    kernel, and equals what the public function over it gives:
+    - ``bounds`` and the regime digit k: one ``extrema._closed_forms`` call
+      (``closed_form_max``/``closed_form_min``, or the solver outside the
+      regime), which also gives the quotients of the level rows, grouped by
+      ``extrema._level_rows`` (``level_set`` per row) and formatted by
+      ``_level_row``;
+    - ``exponents`` and ``singular``: ``holder._global_value``,
+      ``holder._typical`` (the a.e. exponent and the singularity predicate
+      from one pair of sums) and ``holder._binary_value``, with no report
+      built;
+    - ``maxima_set``: ``extrema.CantorSpec`` over V(M) (``maxima_set``);
+    - ``non_invariance``: ``extrema._certificate`` for that k
+      (``non_invariance_certificate``): the Moran root, the residual bound,
+      the exact covering and the y = 1 witness, whose value ``codec.unwalk``
+      composes in the descent that picks its digits.
     """
     extrema._check_tolerance(tolerance)
     depth = extrema.PREIMAGE_DEPTH if depth is None else check_count(depth, "depth", 1)
@@ -181,12 +190,13 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     rows = extrema._level_rows(forms.quotients, tolerance)
     levels = [_level_row(y, digits, tolerance) for y, digits in rows]
 
+    typical, singular = holder._typical(system)
     exponents = {
-        key: {"value": exponent(system).exponent, "tolerance": ANALYZE_TOL}
-        for key, exponent in (
-            ("global", holder.global_exponent),
-            ("almost_everywhere", holder.almost_everywhere_exponent),
-            ("binary", holder.local_exponent_binary),
+        key: {"value": value, "tolerance": ANALYZE_TOL}
+        for key, value in (
+            ("global", holder._global_value(system)),
+            ("almost_everywhere", typical),
+            ("binary", holder._binary_value(system)),
         )
     }
 
@@ -200,7 +210,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
             "singleton": spec.singleton,
             "tolerance": ANALYZE_TOL,
         }
-        report = extrema.non_invariance_certificate(system, depth=depth)
+        report = extrema._certificate(system, k, depth)
         non_invariance = {**report._asdict(), "restricted_digits": sorted(report.restricted_digits)}
 
     return {
@@ -214,7 +224,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
         },
         "predicates": {
             "monotone": all(v > 0 for v in g),
-            "singular": holder.singularity_predicate(system),
+            "singular": singular,
             "nowhere_differentiable": holder.nowhere_differentiable_predicate(system),
             "closed_form_regime": k,
         },

@@ -15,14 +15,14 @@ gives f.  ``walk`` composes the maps of digits into a value, and
 ``selfaffine.evaluate``) adds a period.  The digits of x come from one
 greedy descent, ``unwalk_into``, which composes a second map pair and can
 keep its digits: ``encode`` keeps them, ``selfaffine.evaluate_at`` composes
-f's maps.  ``unwalk`` serves y only, under f's maps: the preimage digits
-of ``extrema``.  Around them sit cylinder intervals, the one digit check
-(``check_digits``), the one count check (``check_count``), the heads and
-digit frequencies of a ``DigitString``, and the bookkeeping for points
-with two expansions (a terminating one and its twin).  Digits are checked
-once, where they enter: at the public ``DigitString`` constructor and at
-the one digit ``prepend`` adds.  ``Frozen`` is the base of the package's
-value types.
+f's maps.  ``unwalk`` serves y, under f's maps: it composes the value of
+the preimage digits of ``extrema`` as it picks them.  Around them sit
+cylinder intervals, the one digit check (``check_digits``), the one count
+check (``check_count``), the heads and digit frequencies of a
+``DigitString``, and the bookkeeping for points with two expansions (a
+terminating one and its twin).  Digits are checked once, where they
+enter: at the public ``DigitString`` constructor and at the one digit
+``prepend`` adds.  ``Frozen`` is the base of the package's value types.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ def running_sums(values, name: str, admissible: Callable[[float], bool], rule: s
     are the partial sums taken left to right, starting at
     ``offsets[0] == 0.0``.
     """
-    values = tuple(float(v) for v in values)
+    values = tuple(map(float, values))
     if len(values) < 2:
         raise ValidationError("alphabet size must be at least 2")
-    for i, v in enumerate(values):
-        if not admissible(v):
-            raise ValidationError(f"{name}[{i}] = {v!r} must satisfy {rule}")
+    if not all(map(admissible, values)):
+        i = next(i for i, v in enumerate(values) if not admissible(v))
+        raise ValidationError(f"{name}[{i}] = {values[i]!r} must satisfy {rule}")
     total = math.fsum(values)
     tol = EPS * math.fsum(map(abs, values))
     if abs(total - 1.0) > tol:
@@ -290,29 +290,45 @@ def walk(digits, offsets, scales) -> tuple[float, float]:
     return acc, prod
 
 
-def unwalk(t: float, offsets, scales, depth: int):
-    """Greedy inverse of ``walk``: ``(digits, period)`` of ``t`` in [0, 1].
+def unwalk(t: float, offsets, scales, depth: int, digits=None) -> tuple[float, tuple[int, ...] | None]:
+    """Greedy inverse of ``walk``: ``(acc, period)``, the value of the digits of ``t`` in [0, 1].
 
     Each step takes the digit ``d`` with ``offsets[d] <= t < offsets[d+1]``
-    (the larger digit on a tie) and renormalizes ``t`` to ``(t - offsets[d])
-    / scales[d]``, clamped to at most 1.  It never falls below 0: the
-    difference is at least +0.0 since ``offsets[d] <= t``, and every scale
-    is positive.  A residue of exactly 0 closes with
+    (the larger digit on a tie), appends it to the list ``digits`` when one
+    is given, composes its map as ``walk`` does (``acc += offsets[d] *
+    prod``, ``prod *= scales[d]``) and renormalizes ``t`` to ``(t -
+    offsets[d]) / scales[d]``, clamped to at most 1.  The residue never
+    falls below 0: the difference is at least +0.0 since ``offsets[d] <=
+    t``, and every scale is positive.  A residue of exactly 0 closes with
     period ``(0,)``; after ``depth`` digits the period is None (truncated).
-    It serves y only (``extrema.preimage_digits``, over the digits below k,
+
+    It serves y (``extrema``: the preimage digits over the digits below k,
     so it has no all-high close); the digits of x come from ``unwalk_into``.
+    There the offsets ascend from ``offsets[0] = 0.0`` and every scale lies
+    in (0, 1), so ``acc`` is the value ``selfaffine.evaluate`` gives the
+    string of the digits, bit for bit: a closing run of zeros adds +0.0.
+    Without a ``digits`` list the walk also stops, with period None, once
+    ``offsets[-1] * prod * 2**55 < acc``.  No later term can change ``acc``
+    then: each is at most that rounded product, below ``acc * 2**-55``,
+    which is under half the spacing of the doubles around ``acc``.
     """
     t, depth = _descent_start(t, depth)
-    digits: list[int] = []
+    top = offsets[-1] if digits is None else math.inf  # inf * prod never falls below acc
+    acc, prod = 0.0, 1.0
     for _ in range(depth):
         if t == 0.0:
-            return tuple(digits), (0,)
+            return acc, (0,)
+        if top * prod * 2.0**55 < acc:
+            return acc, None
         d = bisect_right(offsets, t) - 1
-        digits.append(d)
+        if digits is not None:
+            digits.append(d)
+        acc += offsets[d] * prod
+        prod *= scales[d]
         t = (t - offsets[d]) / scales[d]
         if t > 1.0:
             t = 1.0
-    return tuple(digits), None
+    return acc, None
 
 
 def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: float, digits=None):

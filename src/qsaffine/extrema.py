@@ -75,7 +75,7 @@ class CantorSpec(Frozen):
 
     def __init__(self, Q: StochasticVector, allowed) -> None:
         allowed = _digit_set(allowed, Q.s)
-        dimension = moran_dimension(Q, allowed)
+        dimension = _moran_root(Q, allowed)
         residual = abs(math.fsum(Q.q[i] ** dimension for i in allowed) - 1.0)
         if residual > MORAN_RESIDUAL:
             raise CertificationError(
@@ -141,12 +141,16 @@ def moran_dimension(Q: StochasticVector, allowed) -> float:
     branches are the ones their sums would take, so the root is bit for bit
     that of summing every midpoint, from about a quarter of the sums.
     """
-    V = sorted(_digit_set(allowed, Q.s))
+    return _moran_root(Q, _digit_set(allowed, Q.s))
+
+
+def _moran_root(Q: StochasticVector, V) -> float:
+    """``moran_dimension`` of the digits ``V``, already checked: non-empty, distinct, below ``Q.s``."""
     if len(V) == Q.s:
         return 1.0
     if len(V) == 1:
         return 0.0
-    weights = [Q.q[i] for i in V]
+    weights = [Q.q[i] for i in sorted(V)]
     lo_c, hi_c = _moran_window(weights)
     lo, hi = 0.0, 1.0
     while True:
@@ -168,32 +172,57 @@ def _moran_window(weights: list[float]) -> tuple[float, float]:
 
     Newton on the convex ``ln sum w^x`` starts from ``ln n / -mean(ln w)``,
     a lower bound of the root by Jensen's inequality, so in exact
-    arithmetic its iterates rise to the root without passing it.  Each end
-    of ``root - d, root + d`` is checked with the sum ``moran_dimension``
-    computes: h(lo_c) above the slack ``8 eps``, h(hi_c) below minus it.
-    The terms are positive, so with ``pow`` within 1 ulp and ``math.fsum``
-    correctly rounded each computed sum is within a relative ``1.5 eps`` of
-    the true one (subnormal terms add at most ``n * 2**-1074``), whatever
-    n.  As the true sum is strictly decreasing, every x <= lo_c then
-    computes h > 0 and every x >= hi_c computes h < 0.  A failing check
-    widens the window x16, three times at most.  Where a check keeps
-    failing, or Newton has not settled in 10 steps, the window is (0, 1):
-    plain bisection.
+    arithmetic its iterates rise to the root without passing it.  Where
+    the largest weight w_t is near 1 and the others are far below it, the
+    sum behaves like one exponential and those steps crawl (by about 1/21
+    a step for weights 1 - 1e-9 and 5e-10).  At the first step above half
+    the one before, Newton moves on to ``F = ln(sum of the other w^x) -
+    ln(1 - w_t^x)``: convex and decreasing too, with the same root, and near
+    linear there.  Each end of ``root - d, root + d`` is checked with the
+    sum ``moran_dimension`` computes: h(lo_c) above the slack ``8 eps``,
+    h(hi_c) below minus it.  The terms are positive, so with ``pow``
+    within 1 ulp and ``math.fsum`` correctly rounded each computed sum is
+    within a relative ``1.5 eps`` of the true one (subnormal terms add at
+    most ``n * 2**-1074``), whatever n.  As the true sum is strictly
+    decreasing, every x <= lo_c then computes h > 0 and every x >= hi_c
+    computes h < 0.  A failing check widens the window x16, three times at
+    most.  Where a check keeps failing, or Newton has not settled in 10
+    steps, the window is (0, 1): plain bisection.
+
+    ``d`` is about the slack over the slope of the sum at the root, whose
+    size is at least ``-ln w_t``.  When that bound leaves d above 2**-16
+    (w_t above 1 - 1.5e-10), the window could skip fewer midpoints than
+    Newton spends sums, so no sum is spent on it: plain bisection at once.
     """
     n = len(weights)
+    slack = 8.0 * EPS
+    w_t = max(weights)
+    if 1.25 * slack / -math.log(w_t) > 2.0**-16:
+        return 0.0, 1.0
     logs = list(map(math.log, weights))
     x = n * math.log(n) / -math.fsum(logs)
+    top, prev = -1, math.inf  # top: the digit of w_t once Newton runs on F
     for _ in range(10):
         terms = list(map(pow, weights, repeat(x)))
-        total = math.fsum(terms)
-        slope = math.fsum(map(mul, terms, logs))
-        step = total * math.log(total) / slope
-        x = min(max(x - step, 0.0), 1.0)
-        if abs(step) <= 2**-26:  # quadratic convergence: the next step is below eps
+        if top < 0:
+            total = math.fsum(terms)
+            slope = math.fsum(map(mul, terms, logs))
+            step = total * math.log(total) / slope
+        else:
+            w_x, terms[top] = terms[top], 0.0
+            rest = math.fsum(terms)
+            rest_slope = math.fsum(map(mul, terms, logs))
+            gap = -math.expm1(x * logs[top])  # 1 - w_t^x, positive: -ln w_t and x are far above 0
+            slope = rest_slope + w_x * logs[top]
+            step = (math.log(rest) - math.log(gap)) / (rest_slope / rest + w_x * logs[top] / gap)
+        last, x = x, min(max(x - step, 0.0), 1.0)
+        if abs(step) <= 2**-26 or x == last:  # quadratic convergence, or a step x cannot take
             break
+        if top < 0 and abs(step) > prev / 2:
+            top = weights.index(w_t)
+        prev = abs(step)
     else:
-        return 0.0, 1.0  # Newton crawls (an ill-conditioned root): no sum spent on certifying
-    slack = 8.0 * EPS
+        return 0.0, 1.0  # Newton has not settled: no sum spent on certifying
     d = 1.25 * slack / -slope + 4.0 * EPS * x  # the slack over the slope, plus a few ulps of x
     for _ in range(4):
         lo_c, hi_c = x - d, x + d
@@ -456,12 +485,19 @@ def preimage_residual_bound(system: SelfAffineSystem, depth: int) -> float:
     ``(M - m) * g_*^depth``.  Its evaluated digit sum rounds by at most
     ``8 * eps * max(1, max|delta|) / (1 - g_*)^2`` (the j-th term carries a
     relative error of about ``j * eps``), so an exact witness passes even
-    where the truncation term falls below double rounding.
+    where the truncation term falls below double rounding.  The depth is
+    checked first, then the regime; ``_residual_bound`` computes the bound
+    for the k that ``non_invariance_certificate`` and ``cli.build_analysis``
+    have already decided.
     """
     depth = check_count(depth, "depth", 1)
-    k = _require_regime(system)
+    return _residual_bound(system, _require_regime(system), depth)
+
+
+def _residual_bound(system: SelfAffineSystem, k: int, depth: int) -> float:
+    """``preimage_residual_bound`` for the regime digit ``k`` and a checked ``depth``."""
     g_star = max(system.G.g[:k])
-    scale = max(1.0, max(abs(d) for d in system.G.delta))
+    scale = max(1.0, max(map(abs, system.G.delta)))
     rounding = 8.0 * EPS * scale / (1.0 - g_star) ** 2
     return system.bounds.span * g_star**depth + rounding
 
@@ -475,11 +511,13 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
     repeats (``codec.unwalk`` over the first k offsets, never closing at 1).
     Ties at a bracket boundary take the larger digit.  The value of the
     returned string is within ``preimage_residual_bound(system, depth)`` of
-    y, and all its digits stay below k.
+    y, and all its digits stay below k.  ``unwalk`` composes that value in
+    the same descent; ``non_invariance_certificate`` reads it from there.
     """
     k = _require_regime(system)
-    digits, period = unwalk(y, system.G.delta[:k], system.G.g, depth)
-    return DigitString._from_checked(digits, period, system.s)
+    digits: list[int] = []
+    period = unwalk(y, system.G.delta[:k], system.G.g, depth, digits)[1]
+    return DigitString._from_checked(tuple(digits), period, system.s)
 
 
 def _covering(system: SelfAffineSystem, k: int) -> tuple[bool, float]:
@@ -508,19 +546,25 @@ def non_invariance_certificate(system: SelfAffineSystem, depth: int = PREIMAGE_D
     Computes the Hausdorff dimension of the digit-restricted set over
     {0, ..., k-1} (asserted < 1) and decides the covering of ``[0, L]`` by
     their digit maps exactly (``_covering``); a covering that fails is
-    reported, not raised.  One preimage witness, of y = 1, is evaluated
-    and checked: its first residue stays in [0, 1] only when ``delta_k >=
-    1``.  A residual above ``preimage_residual_bound`` raises
-    ``CertificationError``.
+    reported, not raised.  One preimage witness, of y = 1, is checked: its
+    first residue stays in [0, 1] only when ``delta_k >= 1``.  Its value is
+    composed in the descent that picks its digits (``codec.unwalk``), bit
+    for bit ``evaluate(system, preimage_digits(system, 1.0, depth)).value``.
+    A residual above ``preimage_residual_bound`` raises ``CertificationError``.
     """
     k = _require_regime(system)
+    return _certificate(system, k, check_count(depth, "depth", 1))
+
+
+def _certificate(system: SelfAffineSystem, k: int, depth: int) -> NonInvarianceReport:
+    """``non_invariance_certificate`` for the regime digit ``k`` and a checked ``depth``."""
     v_star = frozenset(range(k))
-    dim = moran_dimension(system.Q, v_star)
+    dim = _moran_root(system.Q, v_star)
     if not dim < 1.0:
         raise CertificationError("restricted digit set must have dimension below 1")
-    bound = preimage_residual_bound(system, depth)
+    bound = _residual_bound(system, k, depth)
     proved, margin = _covering(system, k)
-    residual = abs(evaluate(system, preimage_digits(system, 1.0, depth)).value - 1.0)
+    residual = abs(unwalk(1.0, system.G.delta[:k], system.G.g, depth)[0] - 1.0)
     if residual > bound:
         raise CertificationError(
             f"witness residual {residual!r} exceeds the guaranteed bound {bound!r}"

@@ -66,8 +66,12 @@ class HolderReport(Frozen):
 
 def global_exponent(system: SelfAffineSystem) -> HolderReport:
     """Hölder exponent of f on all of [0, 1]: the worst single-digit quotient."""
+    return HolderReport(exponent=_global_value(system), kind="global")
+
+
+def _global_value(system: SelfAffineSystem) -> float:
     log_q, log_g = system.logs
-    return HolderReport(exponent=min(map(operator.truediv, log_g, log_q)), kind="global")
+    return min(map(operator.truediv, log_g, log_q))
 
 
 def local_exponent_unary(system: SelfAffineSystem, nu: FrequencyVector) -> HolderReport:
@@ -91,30 +95,40 @@ def local_exponent_unary(system: SelfAffineSystem, nu: FrequencyVector) -> Holde
     return HolderReport(exponent=num / den, kind="local_unary", frequencies_used=nu)
 
 
-def _typical_sums(system: SelfAffineSystem) -> tuple[float, float]:
-    """``(sum q_i ln|g_i|, sum q_i ln q_i)``: the frequency formula's sums at nu = q."""
+def _typical(system: SelfAffineSystem) -> tuple[float, bool]:
+    """The a.e. exponent and the singularity predicate, from one pair of typical-point sums.
+
+    The sums are the frequency formula's at nu = q: ``sum q_i ln|g_i|`` and
+    ``sum q_i ln q_i``.  The exponent is their quotient; f is singular when
+    the first is below the second.
+    """
     log_q, log_g = system.logs
     q = system.Q.q
-    return math.fsum(map(operator.mul, q, log_g)), math.fsum(map(operator.mul, q, log_q))
+    num, den = math.fsum(map(operator.mul, q, log_g)), math.fsum(map(operator.mul, q, log_q))
+    return num / den, num < den
 
 
 def almost_everywhere_exponent(system: SelfAffineSystem) -> HolderReport:
     """Exponent at Lebesgue-typical points: digit frequencies equal the weights.
 
     The weights always meet ``local_exponent_unary``'s hypotheses, and its
-    sums at nu = q are ``_typical_sums``, so this is its value, bit for bit.
+    sums at nu = q are those of ``_typical``, so this is its value, bit for
+    bit.  ``cli.build_analysis`` reads the exponent from ``_typical`` with
+    the singularity predicate, and builds no report.
     """
-    num, den = _typical_sums(system)
+    exponent = _typical(system)[0]
     nu = FrequencyVector(system.Q.q, n=0, exact=True)
-    return HolderReport(exponent=num / den, kind="almost_everywhere", frequencies_used=nu)
+    return HolderReport(exponent=exponent, kind="almost_everywhere", frequencies_used=nu)
 
 
 def local_exponent_binary(system: SelfAffineSystem) -> HolderReport:
     """Exponent at every twin (two-expansion) point: min of the two boundary quotients."""
+    return HolderReport(exponent=_binary_value(system), kind="local_binary")
+
+
+def _binary_value(system: SelfAffineSystem) -> float:
     log_q, log_g = system.logs
-    return HolderReport(
-        exponent=min(log_g[0] / log_q[0], log_g[-1] / log_q[-1]), kind="local_binary"
-    )
+    return min(log_g[0] / log_q[0], log_g[-1] / log_q[-1])
 
 
 def empirical_exponent(
@@ -163,12 +177,11 @@ def singularity_predicate(system: SelfAffineSystem) -> bool:
     """True when f is singular: zero derivative at Lebesgue-almost every point.
 
     Sufficient criterion: the typical-point exponent exceeds 1, i.e.
-    sum q_i ln|g_i| < sum q_i ln q_i.
+    sum q_i ln|g_i| < sum q_i ln q_i (read from ``_typical``).
     """
-    lhs, rhs = _typical_sums(system)
-    return lhs < rhs
+    return _typical(system)[1]
 
 
 def nowhere_differentiable_predicate(system: SelfAffineSystem) -> bool:
     """True when |g_i| > q_i for every digit (a sufficient condition only)."""
-    return all(abs(gi) > qi for qi, gi in zip(system.Q.q, system.G.g))
+    return all(map(operator.lt, system.Q.q, map(abs, system.G.g)))

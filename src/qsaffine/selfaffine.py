@@ -104,7 +104,7 @@ class SelfAffineSystem(Frozen):
     @cached_property
     def logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """``(ln q_i, ln|g_i|)`` per digit, taken once for the Hölder exponents."""
-        return tuple(map(math.log, self.Q.q)), tuple(math.log(abs(v)) for v in self.G.g)
+        return tuple(map(math.log, self.Q.q)), tuple(map(math.log, map(abs, self.G.g)))
 
     @cached_property
     def default_depth(self) -> int:
@@ -168,14 +168,13 @@ def _fixed_point_bounds(system: SelfAffineSystem) -> BoundsPair:
     a = b = -1
     steps = 0
     while True:
-        up = [d + (gi * M if gi > 0 else gi * m) for d, gi in pairs]
-        lo = [d + (gi * m if gi > 0 else gi * M) for d, gi in pairs]
+        up = [d + gi * M if gi > 0 else d + gi * m for d, gi in pairs]
+        lo = [d + gi * m if gi > 0 else d + gi * M for d, gi in pairs]
         allowance = 8.0 * EPS * max(scale, M - m)
-        hi_i = up.index(max(up))
-        lo_i = lo.index(min(lo))
-        new_a = a if a >= 0 and up[hi_i] <= up[a] + allowance / 2 else hi_i
-        new_b = b if b >= 0 and lo[lo_i] >= lo[b] - allowance / 2 else lo_i
-        if (new_a, new_b) == (a, b):
+        top, bottom = max(up), min(lo)
+        new_a = a if a >= 0 and top <= up[a] + allowance / 2 else up.index(top)
+        new_b = b if b >= 0 and bottom >= lo[b] - allowance / 2 else lo.index(bottom)
+        if new_a == a and new_b == b:
             break
         steps += 1
         if steps > s * s:
@@ -183,7 +182,7 @@ def _fixed_point_bounds(system: SelfAffineSystem) -> BoundsPair:
         a, b = new_a, new_b
         M, m = _policy_value(delta, g, a, b)
         M, m = max(M, 1.0), min(m, 0.0)  # f(1) = 1 and f(0) = 0 are attained
-    step = max(abs(up[hi_i] - M), abs(lo[lo_i] - m))
+    step = max(abs(top - M), abs(bottom - m))
     if step > allowance:
         raise CertificationError(
             f"bounds ({m!r}, {M!r}) move by {step!r} under one hull step, above {allowance!r}"

@@ -208,6 +208,38 @@ def reference_moran(Q, allowed) -> float:
             hi = mid
 
 
+def reference_bounds(system: SelfAffineSystem) -> tuple[float, float, int, float]:
+    """``(m, M, iterations, residual)`` of ``selfaffine._fixed_point_bounds``, written as it was
+    before its rounds were trimmed, kept as an oracle: the same policy sequence, bit for bit."""
+    from qsaffine.selfaffine import EPS, _policy_value
+
+    g, delta, s = system.G.g, system.G.delta, system.s
+    pairs = list(zip(delta, g))
+    scale = max(1.0, max(map(abs, delta)))
+    M, m = 1.0, 0.0
+    a = b = -1
+    steps = 0
+    while True:
+        up = [d + (gi * M if gi > 0 else gi * m) for d, gi in pairs]
+        lo = [d + (gi * m if gi > 0 else gi * M) for d, gi in pairs]
+        allowance = 8.0 * EPS * max(scale, M - m)
+        hi_i = up.index(max(up))
+        lo_i = lo.index(min(lo))
+        new_a = a if a >= 0 and up[hi_i] <= up[a] + allowance / 2 else hi_i
+        new_b = b if b >= 0 and lo[lo_i] >= lo[b] - allowance / 2 else lo_i
+        if (new_a, new_b) == (a, b):
+            break
+        steps += 1
+        assert steps <= s * s, "policy iteration did not settle"
+        a, b = new_a, new_b
+        M, m = _policy_value(delta, g, a, b)
+        M, m = max(M, 1.0), min(m, 0.0)
+    step = max(abs(up[hi_i] - M), abs(lo[lo_i] - m))
+    assert step <= allowance, "one hull step moves the bounds beyond the allowance"
+    gmax = max(map(abs, g))
+    return m, M, steps, (step + allowance) / (1.0 - gmax)
+
+
 def reference_leaves(system: SelfAffineSystem, points: int, depth: int | None = None):
     """Left ends and values ``[(x, f)]`` of the cylinders ``sample`` stops at, in digit order.
 

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -25,7 +27,8 @@ from qsaffine.extrema import LEVEL_TOL, level_set
 from qsaffine.svgplot import _fc
 from helpers import TIGHT_CONFIG, random_admissible_system, random_regime_system
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 #: The environment of a child interpreter that imports this checkout's package.
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(qsaffine.__file__).resolve().parents[1]))
 
@@ -174,6 +177,18 @@ class TestAnalyze:
             _, out1, _ = run(capsys, "analyze", "--config", cfg("deep_min_s3"), "--format", fmt)
             _, out2, _ = run(capsys, "analyze", "--config", cfg("deep_min_s3"), "--format", fmt)
             assert out1 == out2 and out1
+
+    def test_reports_keep_their_bytes(self):
+        # scripts/analysis_digest.py pins the 5400 reports of gen seeds 1 to 3 (about
+        # 2.5 s, a CI step); here the 1800 of gen seed 4 at depths None, 1 and 8, by
+        # the same recipe, against the digest the reports had before the per-system
+        # work was fused (each step once: one witness descent, one regime decision).
+        spec = importlib.util.spec_from_file_location("analysis_digest", ROOT / "scripts" / "analysis_digest.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.digest((4,), (None, 1, 8)) == (
+            "a2a0fd88ef2a72a3398be546534bf644e9954b4ef14f9c260211342bfd82e9fc"
+        )
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -368,8 +383,9 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "CertificationError"
 
     def test_wrong_moran_root_is_5(self, capsys, monkeypatch):
-        root = extrema.moran_dimension
-        monkeypatch.setattr(extrema, "moran_dimension", lambda Q, allowed: root(Q, allowed) + 1e-6)
+        # the Moran root kernel behind CantorSpec, maxima_set and moran_dimension
+        root = extrema._moran_root
+        monkeypatch.setattr(extrema, "_moran_root", lambda Q, V: root(Q, V) + 1e-6)
         rc, out, err = run(capsys, "analyze", "--config", cfg("cantor_max"))
         assert (rc, out) == (EXIT_INTERNAL, "")
         assert json.loads(err)["error"] == "CertificationError"
@@ -607,6 +623,20 @@ class TestPassThroughCommands:
         assert rc == 0
         payload = json.loads(out)
         assert payload["residual"] <= payload["residual_bound"]
+
+    def test_preimage_bytes_are_pinned(self, capsys):
+        # 320 calls: five configs (level_sets is outside the regime: exit 3), targets
+        # inside and outside [0, 1], four depths, both formats.  The digest is that
+        # of the outputs before the witness value was fused into its descent.
+        h = hashlib.sha256()
+        for name in ("cantor_max", "deep_min_s3", "level_sets", "rough_s3", "singular_s3"):
+            for y in ("0", "0.2", "0.37", "0.5", "0.625", "0.8", "1", "1.2"):
+                for depth in (None, "1", "8", "200"):
+                    for fmt in ("text", "json"):
+                        argv = ["preimage", "--config", cfg(name), "--y", y, "--format", fmt]
+                        rc, out, err = run(capsys, *argv, *(("--depth", depth) if depth else ()))
+                        h.update(f"{rc}\n{out}{err}".encode())
+        assert h.hexdigest() == "5ca5646ce41d989f828cf94eac5b0ef27fb743dba17ac0890e37dd14f12877b8"
 
     def test_variation_command(self, capsys):
         rc, out, _ = run(

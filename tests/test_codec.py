@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -77,6 +78,21 @@ class TestValidation:
             StochasticVector((1.0, 0.0))
         with pytest.raises(ValidationError):
             StochasticVector((1.5, -0.5))
+
+    @pytest.mark.parametrize(
+        "make, values, message",
+        (
+            (StochasticVector, (0.5, -0.1, 1.5, 0.1), "q[1] = -0.1 must satisfy 0 < q < 1"),
+            (StochasticVector, (0.25, 0.25, 0.5, 1.0, 0.0), "q[3] = 1.0 must satisfy 0 < q < 1"),
+            (StochasticVector, (0.5, float("nan"), 2.0), "q[1] = nan must satisfy 0 < q < 1"),
+            (AffineCoefficients, (0.5, 0.5, 0.0, -1.0), "g[2] = 0.0 must satisfy 0 < |g| < 1"),
+            (AffineCoefficients, (1.0, 0.5, 0.0), "g[0] = 1.0 must satisfy 0 < |g| < 1"),
+        ),
+    )
+    def test_message_names_the_first_inadmissible_entry(self, make, values, message):
+        # checked with map/all; only a failing vector searches for the index it names
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(values)
 
     def test_rejects_a_single_weight(self):
         with pytest.raises(ValidationError, match="alphabet size must be at least 2"):
@@ -359,7 +375,9 @@ class TestCheckedPath:
         delta = system.G.delta[:k]
         y = data.draw(st.sampled_from((0.0, 1.0, *(v for v in delta if v <= 1.0))) | st.floats(0.0, 1.0))
         depth = data.draw(st.sampled_from((1, 7, 64)))
-        self._same(preimage_digits(system, y, depth), *unwalk(y, delta, system.G.g, depth))
+        digits: list[int] = []
+        period = unwalk(y, delta, system.G.g, depth, digits)[1]
+        self._same(preimage_digits(system, y, depth), digits, period)
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_twin_representation(self, seed):

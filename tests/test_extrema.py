@@ -358,6 +358,65 @@ class TestMoran:
             assert moran_dimension(Q, allowed) == want
         assert all(0 < n <= 16 for n in sums), sums
 
+    @staticmethod
+    def count_sums(monkeypatch, root, Q, allowed):
+        """``root(Q, allowed)`` and the ``math.fsum`` calls it made."""
+        real_fsum, sums = math.fsum, [0]
+
+        def counting_fsum(values):
+            sums[0] += 1
+            return real_fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        try:
+            return root(Q, allowed), sums[0]
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("eps", (1e-6, 1e-7, 1e-8, 1e-9, 1e-12, 1e-15))
+    def test_crawling_newton_costs_no_more_sums_than_bisection(self, eps, monkeypatch):
+        # Weights (1 - eps, eps/2) over digits {0, 1}: the Moran sum behaves like
+        # one exponential from the Jensen start, where Newton on ln sum w^x crawls
+        # by a constant step (71 sums in all at eps = 1e-9, giving up after 10
+        # steps).  Newton on F = ln w_1^x - ln(1 - w_0^x) settles in a few steps.
+        # From about eps = 1.5e-10 down, no sum is spent on a window at all.
+        Q, allowed = StochasticVector((1.0 - eps, eps / 2, eps / 2)), {0, 1}
+        want, plain = self.count_sums(monkeypatch, reference_moran, Q, allowed)
+        got, ours = self.count_sums(monkeypatch, moran_dimension, Q, allowed)
+        assert got == want
+        assert plain == 48 and 0 < ours <= (48 if eps < 1.5e-10 else 42), ours
+
+    def test_no_root_costs_more_sums_than_bisection(self, monkeypatch):
+        # Seeded weight vectors of five kinds: moderate, spread over 6 or 320
+        # decades, one weight near 1 beside tiny ones, and picks from 5e-324 to 1.
+        rng = np.random.default_rng(27)
+        picks = (5e-324, 1e-300, 1e-12, 1e-3, 0.3, 1.0)
+        for i in range(400):
+            s = int(rng.integers(2, 9))
+            kind = i % 5
+            if kind == 0:
+                raw = rng.random(s) + 0.01
+            elif kind in (1, 2):
+                raw = 10.0 ** rng.uniform(-6 if kind == 1 else -320, 0, s)
+            elif kind == 3:
+                raw = 10.0 ** rng.uniform(-16, 0, s)
+                raw[0] = 1.0
+            else:
+                raw = rng.choice(picks, s)
+            raw = [float(v) for v in raw]
+            weights = closing([v / math.fsum(raw) for v in raw])
+            if not all(0.0 < w < 1.0 for w in weights):
+                continue
+            Q = StochasticVector(weights)
+            allowed = {int(d) for d in rng.choice(s, int(rng.integers(2, s + 1)), replace=False)}
+            if len(allowed) == s:
+                allowed.pop()
+            if len(allowed) < 2:
+                continue
+            want, plain = self.count_sums(monkeypatch, reference_moran, Q, allowed)
+            got, ours = self.count_sums(monkeypatch, moran_dimension, Q, allowed)
+            assert got == want and ours <= plain, (weights, allowed, ours, plain)
+
 
 class TestMaximaSet:
     def test_cantor_type_set(self):
@@ -392,8 +451,8 @@ class TestMaximaSet:
     def test_wrong_root_is_certification_error(self, monkeypatch):
         # The spec works out its own dimension, so a root that misses the
         # Moran equation is a fault of the library, not of the input.
-        root = extrema.moran_dimension
-        monkeypatch.setattr(extrema, "moran_dimension", lambda Q, allowed: root(Q, allowed) + 1e-6)
+        root = extrema._moran_root  # the kernel behind moran_dimension
+        monkeypatch.setattr(extrema, "_moran_root", lambda Q, V: root(Q, V) + 1e-6)
         with pytest.raises(CertificationError, match="Moran equation"):
             maxima_set(CANTOR_MAX)
 
@@ -618,9 +677,11 @@ class TestNonInvariance:
             k = closed_form_regime(system)
             delta, g = system.G.delta, system.G.g
             for y in [d for d in delta[:k] if d <= 1.0]:
-                digits, period = unwalk(y, delta[:k], g, 64)
+                digits: list[int] = []
+                acc, period = unwalk(y, delta[:k], g, 64, digits)
                 assert period == (0,)
-                assert walk(digits, delta, g)[0] == evaluate(system, preimage_digits(system, y, 64)).value
+                want = evaluate(system, preimage_digits(system, y, 64)).value
+                assert walk(digits, delta, g)[0] == acc == want
 
     @given(seed=st.integers(0, 2**32 - 1), y=st.floats(0.0, 1.0), depth=st.integers(1, 200))
     def test_witness_digits_stay_below_k(self, seed, y, depth):
@@ -629,8 +690,48 @@ class TestNonInvariance:
         system, k = random_regime_system(np.random.default_rng(seed))
         delta, g = system.G.delta, system.G.g
         for t in (y, 0.0, 1.0, *(d for d in delta[:k] if d <= 1.0)):
-            digits, _ = unwalk(t, delta[:k], g, depth)
+            digits: list[int] = []
+            unwalk(t, delta[:k], g, depth, digits)
             assert all(d < k for d in digits)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        y=st.just(1.0) | st.floats(0.0, 1.0),
+        depth=st.sampled_from((1, 2, 5, 64, 200)),
+    )
+    def test_fused_witness_value_is_evaluate_of_its_digits(self, seed, y, depth):
+        # unwalk composes the value in the descent that picks the digits; without
+        # a digits list it may stop once no later term can change it.
+        system, k = random_regime_system(np.random.default_rng(seed))
+        delta, g = system.G.delta, system.G.g
+        want = evaluate(system, preimage_digits(system, y, depth)).value
+        digits: list[int] = []
+        assert unwalk(y, delta[:k], g, depth, digits)[0] == want
+        assert unwalk(y, delta[:k], g, depth)[0] == want
+        assert walk(digits, delta, g)[0] == want
+        if y == 1.0:
+            rep = non_invariance_certificate(system, depth=depth)
+            assert rep.max_residual == abs(want - 1.0)
+
+    def test_early_stop_saves_digits_only_where_no_term_counts(self, monkeypatch):
+        # TIGHT's low-digit ratios are at most 0.48, so the value of the y = 1
+        # witness settles well before 64 digits; NEAR_CRITICAL's 0.99 never does.
+        from qsaffine import codec
+
+        for system, stops in ((TIGHT, True), (NEAR_CRITICAL, False)):
+            k = closed_form_regime(system)
+            delta, g = system.G.delta, system.G.g
+            walked = []
+
+            def counting_bisect(a, x, _real=codec.bisect_right):
+                walked.append(x)
+                return _real(a, x)
+
+            monkeypatch.setattr(codec, "bisect_right", counting_bisect)
+            value = unwalk(1.0, delta[:k], g, 64)[0]
+            monkeypatch.undo()
+            assert value == evaluate(system, preimage_digits(system, 1.0, 64)).value
+            assert (len(walked) < 64) == stops, len(walked)
 
     def test_depth_below_one_rejected(self):
         with pytest.raises(ValidationError, match="depth must be at least 1"):

@@ -33,6 +33,8 @@ from helpers import (
     exact_hull_bounds,
     greedy_digits,
     random_admissible_system,
+    random_regime_system,
+    reference_bounds,
     reference_leaves,
     reference_sample,
 )
@@ -366,6 +368,19 @@ class TestGlobalBounds:
             m, M = exact_hull_bounds(system)
             assert abs(Fraction(b.M) - M) <= Fraction(b.residual), system.G.g
             assert abs(Fraction(b.m) - m) <= Fraction(b.residual), system.G.g
+
+    @given(seed=st.integers(0, 2**32 - 1), regime=st.booleans())
+    def test_same_bits_as_the_reference_solver(self, seed, regime):
+        # helpers.reference_bounds is the solver before its rounds were trimmed
+        rng = np.random.default_rng(seed)
+        system = random_regime_system(rng)[0] if regime else random_admissible_system(rng, 2, 8, 0.95)
+        b = selfaffine._fixed_point_bounds(system)
+        assert (b.m, b.M, b.iterations, b.residual) == reference_bounds(system)
+
+    def test_solver_cases_same_bits_as_the_reference_solver(self):
+        for system in self.solver_cases():
+            b = selfaffine._fixed_point_bounds(system)
+            assert (b.m, b.M, b.iterations, b.residual) == reference_bounds(system), system.G.g
 
     def test_policy_steps_at_most_s_squared(self):
         for system in self.solver_cases():
