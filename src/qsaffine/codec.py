@@ -234,7 +234,9 @@ class DigitString(Frozen):
             body = tail[:-1].strip()
             if not body:
                 raise ValidationError("period must contain at least one digit")
-            head = head.rstrip(", ")
+            head = head.rstrip()
+            if head.endswith(",") and head[:-1].rstrip()[-1:].isdigit():
+                head = head[:-1]  # the one comma between the prefix and the period
         try:
             prefix = tuple(int(t) for t in head.split(",")) if head else ()
             period = tuple(int(t) for t in body.split(",")) if paren else None

@@ -170,16 +170,13 @@ def _moran_root(Q: StochasticVector, V) -> float:
 def _moran_window(weights: list[float]) -> tuple[float, float]:
     """A window ``lo_c < root < hi_c`` around the Moran root, certified by one sum per end.
 
-    Newton on the convex ``ln sum w^x`` starts from ``ln n / -mean(ln w)``,
-    a lower bound of the root by Jensen's inequality, so in exact
-    arithmetic its iterates rise to the root without passing it.  Where
-    the largest weight w_t is near 1 and the others are far below it, the
-    sum behaves like one exponential and those steps crawl (by about 1/21
-    a step for weights 1 - 1e-9 and 5e-10).  At the first step above half
-    the one before, Newton moves on to ``F = ln(sum of the other w^x) -
-    ln(1 - w_t^x)``: convex and decreasing too, with the same root, and near
-    linear there.  Each end of ``root - d, root + d`` is checked with the
-    sum ``moran_dimension`` computes: h(lo_c) above the slack ``8 eps``,
+    Newton runs on ``F = ln(sum of the other w^x) - ln(1 - w_t^x)``, w_t the
+    largest weight, which stays near linear where w_t near 1 dominates the
+    sum.  F is convex and decreasing with the Moran root as its root, and the
+    start ``ln n / -mean(ln w)`` is below the root by Jensen's inequality, so
+    in exact arithmetic the iterates rise to the root without passing it.
+    Each end of ``root - d, root + d`` is checked with the sum
+    ``moran_dimension`` computes: h(lo_c) above the slack ``8 eps``,
     h(hi_c) below minus it.  The terms are positive, so with ``pow``
     within 1 ulp and ``math.fsum`` correctly rounded each computed sum is
     within a relative ``1.5 eps`` of the true one (subnormal terms add at
@@ -200,27 +197,19 @@ def _moran_window(weights: list[float]) -> tuple[float, float]:
     if 1.25 * slack / -math.log(w_t) > 2.0**-16:
         return 0.0, 1.0
     logs = list(map(math.log, weights))
+    top = weights.index(w_t)
     x = n * math.log(n) / -math.fsum(logs)
-    top, prev = -1, math.inf  # top: the digit of w_t once Newton runs on F
     for _ in range(10):
         terms = list(map(pow, weights, repeat(x)))
-        if top < 0:
-            total = math.fsum(terms)
-            slope = math.fsum(map(mul, terms, logs))
-            step = total * math.log(total) / slope
-        else:
-            w_x, terms[top] = terms[top], 0.0
-            rest = math.fsum(terms)
-            rest_slope = math.fsum(map(mul, terms, logs))
-            gap = -math.expm1(x * logs[top])  # 1 - w_t^x, positive: -ln w_t and x are far above 0
-            slope = rest_slope + w_x * logs[top]
-            step = (math.log(rest) - math.log(gap)) / (rest_slope / rest + w_x * logs[top] / gap)
+        w_x, terms[top] = terms[top], 0.0
+        rest = math.fsum(terms)
+        rest_slope = math.fsum(map(mul, terms, logs))
+        gap = -math.expm1(x * logs[top])  # 1 - w_t^x, positive: -ln w_t and x are far above 0
+        slope = rest_slope + w_x * logs[top]
+        step = (math.log(rest) - math.log(gap)) / (rest_slope / rest + w_x * logs[top] / gap)
         last, x = x, min(max(x - step, 0.0), 1.0)
         if abs(step) <= 2**-26 or x == last:  # quadratic convergence, or a step x cannot take
             break
-        if top < 0 and abs(step) > prev / 2:
-            top = weights.index(w_t)
-        prev = abs(step)
     else:
         return 0.0, 1.0  # Newton has not settled: no sum spent on certifying
     d = 1.25 * slack / -slope + 4.0 * EPS * x  # the slack over the slope, plus a few ulps of x

@@ -325,6 +325,11 @@ class TestExitCodes:
             (["eval", "--digits", "(7)"], "InvalidDigit", "cantor_max"),
             (["eval", "--digits", "(a)"], "ValidationError", "cantor_max"),
             (["holder", "--digits", "(1)", "--ranks", "a:b"], "ValidationError", "cantor_max"),
+            (["holder", "--digits", "(1,2)", "--ranks", "5:3"], "ValidationError", "cantor_max"),
+            # An empty digit before the period is malformed, as it is anywhere else.
+            (["eval", "--digits", "1,,(2)"], "ValidationError", "cantor_max"),
+            (["eval", "--digits", "1, ,(2)"], "ValidationError", "cantor_max"),
+            (["eval", "--digits", ",(2)"], "ValidationError", "cantor_max"),
             (["holder", "--nu", "x,y,z"], "ValidationError", "cantor_max"),
             (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError", "cantor_max"),
             (["level", "--y", "nan"], "ValidationError", "cantor_max"),
@@ -340,7 +345,8 @@ class TestExitCodes:
             (["variation", "--rank", "5000"], "ValidationError", "cantor_max"),
         ],
         ids=[
-            "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "nu-not-numbers",
+            "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "ranks-reversed",
+            "empty-digit-before-period", "blank-digit-before-period", "empty-first-digit", "nu-not-numbers",
             "nu-nan", "level-y-nan", "level-y-inf", "level-tolerance-inf", "sample-depth-0", "sample-depth-negative",
             "analyze-depth-0", "analyze-depth-negative", "variation-overflow-rough",
             "variation-overflow-cantor",

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -54,7 +56,8 @@ from helpers import (
     system as make_system,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 TIGHT = TIGHT_CONFIG.system()
 # max(g[:k]) = 0.99: the witness products barely shrink, so the descent runs
 # to its full depth.
@@ -338,7 +341,7 @@ class TestMoran:
         # The bundled regime configs' two Moran sets, V(M) and {0, ..., k-1},
         # and 3998 of 4000 equal weights (the s = 4000 regime system).  Plain
         # bisection sums 48 midpoints at least; at most 16 sums per root
-        # (6 to 11 here) fails a window that falls back to it unnoticed.
+        # (6 to 13 here) fails a window that falls back to it unnoticed.
         if name == "uniform_3998":
             Q, sets = StochasticVector(closing([1 / 4000] * 4000)), [range(3998)]
         else:
@@ -375,11 +378,12 @@ class TestMoran:
 
     @pytest.mark.parametrize("eps", (1e-6, 1e-7, 1e-8, 1e-9, 1e-12, 1e-15))
     def test_crawling_newton_costs_no_more_sums_than_bisection(self, eps, monkeypatch):
-        # Weights (1 - eps, eps/2) over digits {0, 1}: the Moran sum behaves like
-        # one exponential from the Jensen start, where Newton on ln sum w^x crawls
-        # by a constant step (71 sums in all at eps = 1e-9, giving up after 10
-        # steps).  Newton on F = ln w_1^x - ln(1 - w_0^x) settles in a few steps.
-        # From about eps = 1.5e-10 down, no sum is spent on a window at all.
+        # Weights (1 - eps, eps/2) over digits {0, 1}: from the Jensen start the
+        # Moran sum behaves like one exponential, so Newton on ln sum w^x would
+        # crawl by a constant step.  F = ln w_1^x - ln(1 - w_0^x) is near linear
+        # here, and the window's Newton on it settles in a few steps (40 sums in
+        # all at eps = 1e-9).  From about eps = 1.5e-10 down, no sum is spent on
+        # a window at all.
         Q, allowed = StochasticVector((1.0 - eps, eps / 2, eps / 2)), {0, 1}
         want, plain = self.count_sums(monkeypatch, reference_moran, Q, allowed)
         got, ours = self.count_sums(monkeypatch, moran_dimension, Q, allowed)
@@ -416,6 +420,32 @@ class TestMoran:
             want, plain = self.count_sums(monkeypatch, reference_moran, Q, allowed)
             got, ours = self.count_sums(monkeypatch, moran_dimension, Q, allowed)
             assert got == want and ours <= plain, (weights, allowed, ours, plain)
+
+    def test_sweep_roots_same_bits_in_few_sums(self, monkeypatch):
+        # The Moran roots `analyze` solves on the benchmark's analysis-sweep systems
+        # of gen seeds 1 to 3 (657 roots): {0, ..., k-1} for each regime system, and
+        # V(M) where it has two digits or more.  perfbench/gen.py is reached through
+        # scripts/analysis_digest.py, as TestAnalyze::test_reports_keep_their_bytes
+        # does.  A window that quietly fell back to plain bisection (48 sums a root
+        # at least) fails the mean.
+        spec = importlib.util.spec_from_file_location("analysis_digest", ROOT / "scripts" / "analysis_digest.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        roots = []
+        for seed in script.SEEDS:
+            for system_spec in script.gen.sweep_systems(random.Random(seed)):
+                system = SystemConfig(system_spec.q_text, system_spec.g_text, system_spec.label).system()
+                forms = extrema._closed_forms(system)
+                if forms.k is not None:
+                    roots += [(system.Q, V) for V in (range(forms.k), forms.V) if len(V) > 1]
+        assert len(roots) == 657
+        costs = []
+        for Q, allowed in roots:
+            want, plain = self.count_sums(monkeypatch, reference_moran, Q, allowed)
+            got, ours = self.count_sums(monkeypatch, moran_dimension, Q, allowed)
+            assert got == want and ours <= plain, (Q.q, sorted(allowed), ours, plain)
+            costs.append(ours)
+        assert sum(costs) / len(costs) <= 12.5, sum(costs) / len(costs)
 
 
 class TestMaximaSet:
