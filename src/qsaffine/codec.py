@@ -235,6 +235,8 @@ class DigitString(Frozen):
             if not body:
                 raise ValidationError("period must contain at least one digit")
             head = head.rstrip()
+            if head[-1:] not in ("", ","):  # a period needs its comma: "1(2)" is malformed
+                raise ValidationError(f"malformed digit string {text!r}")
             if head.endswith(",") and head[:-1].rstrip()[-1:].isdigit():
                 head = head[:-1]  # the one comma between the prefix and the period
         try:

@@ -40,6 +40,9 @@ LEVEL_TOL = 1e-10
 
 ORACLE_TOL = 1e-10
 MORAN_XTOL = 1e-14
+#: The first bisection level N of ``moran_dimension`` whose brackets, ``2**-N`` wide, are
+#: within ``MORAN_XTOL``: from there on every midpoint is summed (47 for 1e-14).
+_SUMMED_LEVEL = 1 - math.frexp(MORAN_XTOL)[1]
 #: Largest Moran residual ``|sum_{i in V} q_i^x - 1|`` a returned dimension may leave.
 MORAN_RESIDUAL = 1e-12
 #: Most intervals ``cantor_construction`` keeps over all its stages, at about 155 bytes each.
@@ -140,6 +143,19 @@ def moran_dimension(Q: StochasticVector, allowed) -> float:
     bisection sums it.  Assuming ``pow`` is within 1 ulp, the skipped
     branches are the ones their sums would take, so the root is bit for bit
     that of summing every midpoint, from about a quarter of the sums.
+
+    The halvings before the first summed midpoint are one integer step.  In
+    units of ``2**-n``, n = ``_SUMMED_LEVEL``, let ``alpha = floor(lo_c)``
+    and ``beta = ceil(hi_c)``, clamped to ``[0, 2**n - 1]`` and ``[1, 2**n]``.
+    The midpoint of a bracket coarser than level n is an integer; it is
+    skipped upwards when it is at most alpha and downwards when it is at
+    least beta, so the halvings keep ``lo <= alpha < beta <= hi`` and stop
+    at the first bracket whose midpoint lies strictly between.  That
+    bracket is the dyadic interval of ``2**b`` units around alpha, b the bit
+    length of ``alpha ^ (beta - 1)``: alpha and ``beta - 1`` differ first
+    in bit b - 1, so its midpoint is above alpha and at most ``beta - 1``,
+    while every coarser midpoint is at most alpha or at least beta.  With
+    b = 0 it is the level-n bracket at alpha.
     """
     return _moran_root(Q, _digit_set(allowed, Q.s))
 
@@ -152,7 +168,13 @@ def _moran_root(Q: StochasticVector, V) -> float:
         return 0.0
     weights = [Q.q[i] for i in sorted(V)]
     lo_c, hi_c = _moran_window(weights)
-    lo, hi = 0.0, 1.0
+    # The halvings before the first summed midpoint, in one step (see moran_dimension).
+    n = _SUMMED_LEVEL
+    alpha = min(max(math.floor(math.ldexp(lo_c, n)), 0), (1 << n) - 1)
+    beta = min(max(math.ceil(math.ldexp(hi_c, n)), 1), 1 << n)
+    width = (alpha ^ (beta - 1)).bit_length()  # 0 when beta - 1 == alpha: lo_c < hi_c
+    start = alpha >> width
+    lo, hi = math.ldexp(start, width - n), math.ldexp(start + 1, width - n)
     while True:
         mid = 0.5 * (lo + hi)
         if hi - lo > MORAN_XTOL and not lo_c < mid < hi_c:
@@ -514,19 +536,46 @@ def _covering(system: SelfAffineSystem, k: int) -> tuple[bool, float]:
 
     The map of digit a sends ``[0, L]`` onto ``[delta_a, delta_a + g_a L]``
     (``g_a > 0`` below k, so the ``delta_a`` ascend from 0), and the map of
-    k-1 ends at its fixed point L.  With ``c = 1 - g_{k-1}`` the images
-    cover ``[0, L]`` when ``delta_{k-1} >= c`` (that is ``L >= 1``) and
-    every seam closes: ``delta_a c + g_a delta_{k-1} >= delta_{a+1} c`` for
-    a < k-1.  Every double is an integer over a power of two, so all of
-    them scaled by the largest such denominator are integers, and the
-    checks compare ints.
+    k-1 ends at its fixed point L.  With ``c = 1 - g_{k-1}`` and ``T =
+    delta_{k-1}`` the images cover ``[0, L]`` when ``T >= c`` (that is
+    ``L >= 1``) and every seam closes: ``D = delta_a c + g_a T - delta_{a+1} c >= 0``
+    for a < k-1.  ``T >= c`` and ``L - 1 = (T - c) / c``, rounded once,
+    come from the exact ratios of the two doubles T and ``g_{k-1}``.
+
+    Each seam is decided in floats first: ``p, u, r`` are the products
+    ``delta_a c``, ``g_a T``, ``delta_{a+1} c`` on ``fl(c)``,
+    ``v = (p + u) - r`` and ``B = 4 eps (p + u + r) + 2**-1072``.  In the
+    standard model (Higham 2002, §2.2 and §3.1) each operation rounds by a
+    relative ``eps/2`` at most, and a product that underflows by an absolute
+    ``2**-1075`` instead; ``c >= 2**-53`` is normal and every term is
+    non-negative.  So p and r carry two roundings, u one and ``p + u`` one
+    more, and ``|fl(p + u) - r - D| <= 1.51 eps (p + u + r) + 3.01 * 2**-1075``.
+    ``v`` has the sign of ``fl(p + u) - r`` and is within ``eps/2`` of it,
+    while B, rounded three times, is at least ``3.99 eps (p + u + r) +
+    6.9 * 2**-1075``.  So ``v > B`` proves D > 0 and ``v < -B`` proves D < 0;
+    only a seam with ``|v| <= B`` is decided by comparing ints, every double
+    scaled to an integer by a common power of two.
     """
-    ratios = [v.as_integer_ratio() for v in (*system.G.g[:k], *system.G.delta[:k])]
-    unit = max(den for _, den in ratios)
-    g, delta = [[num * (unit // den) for num, den in part] for part in (ratios[:k], ratios[k:])]
-    c, top = unit - g[-1], delta[-1]
-    proved = top >= c and all(delta[a] * c + g[a] * top >= delta[a + 1] * c for a in range(k - 1))
-    return proved, (top - c) / c
+    g, delta = system.G.g, system.G.delta
+    tn, td = delta[k - 1].as_integer_ratio()
+    gn, gd = g[k - 1].as_integer_ratio()
+    top, c_int = tn * gd, (gd - gn) * td  # T and c, both scaled by gd * td
+    margin = (top - c_int) / c_int
+    if top < c_int:
+        return False, margin
+    c, T, slack = 1.0 - g[k - 1], delta[k - 1], 4.0 * EPS
+    for d0, ga, d1 in zip(delta, g, delta[1:k]):  # the seam of digits a and a + 1
+        pu, r = d0 * c + ga * T, d1 * c
+        v, bound = pu - r, slack * (pu + r) + 2.0**-1072
+        if v < -bound:
+            return False, margin
+        if v <= bound:
+            ratios = [x.as_integer_ratio() for x in (d0, ga, d1)]
+            unit = max(den for _, den in ratios)
+            n0, ng, n1 = (num * (unit // den) for num, den in ratios)
+            if n0 * c_int + ng * top < n1 * c_int:
+                return False, margin
+    return True, margin
 
 
 def non_invariance_certificate(system: SelfAffineSystem, depth: int = PREIMAGE_DEPTH) -> NonInvarianceReport:

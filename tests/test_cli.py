@@ -330,6 +330,9 @@ class TestExitCodes:
             (["eval", "--digits", "1,,(2)"], "ValidationError", "cantor_max"),
             (["eval", "--digits", "1, ,(2)"], "ValidationError", "cantor_max"),
             (["eval", "--digits", ",(2)"], "ValidationError", "cantor_max"),
+            # A period needs the comma before it.
+            (["eval", "--digits", "1(2)"], "ValidationError", "cantor_max"),
+            (["eval", "--digits", "1,2(3)"], "ValidationError", "cantor_max"),
             (["holder", "--nu", "x,y,z"], "ValidationError", "cantor_max"),
             (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError", "cantor_max"),
             (["level", "--y", "nan"], "ValidationError", "cantor_max"),
@@ -346,7 +349,8 @@ class TestExitCodes:
         ],
         ids=[
             "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "ranks-reversed",
-            "empty-digit-before-period", "blank-digit-before-period", "empty-first-digit", "nu-not-numbers",
+            "empty-digit-before-period", "blank-digit-before-period", "empty-first-digit",
+            "period-without-comma", "period-without-comma-after-prefix", "nu-not-numbers",
             "nu-nan", "level-y-nan", "level-y-inf", "level-tolerance-inf", "sample-depth-0", "sample-depth-negative",
             "analyze-depth-0", "analyze-depth-negative", "variation-overflow-rough",
             "variation-overflow-cantor",

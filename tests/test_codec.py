@@ -175,6 +175,13 @@ class TestCanonicalForm:
             assert DigitString.from_text(d.to_text(), 4) == d
         assert DigitString.from_text("1,3", 4).period is None
 
+    def test_period_needs_its_comma(self):
+        assert DigitString.from_text("1, (2)", 4) == DigitString.from_text("1,(2)", 4) == DigitString((1,), (2,), 4)
+        assert DigitString.from_text("(2)", 4) == DigitString((), (2,), 4)
+        for text in ("1(2)", "1,2(3)", "1 (2)"):
+            with pytest.raises(ValidationError, match="malformed digit string"):
+                DigitString.from_text(text, 4)
+
 
 class TestDecode:
     def test_all_zero_period_decodes_to_zero(self):

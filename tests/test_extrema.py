@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.optimize import brentq
 
 from qsaffine import (
@@ -38,7 +39,7 @@ from qsaffine import (
     preimage_residual_bound,
 )
 from qsaffine import extrema
-from qsaffine.codec import unwalk, walk
+from qsaffine.codec import EPS, unwalk, walk
 from qsaffine.config import SystemConfig, load_config
 from helpers import (
     CANTOR_MAX,
@@ -69,6 +70,40 @@ SEAM = SystemConfig(("1/6",) * 6, ("1/13", "6/13", "3/13", "3/13", "-3/13", "3/1
 # ROADMAP item 8b's false regime: delta_3 = 1 exactly in rationals, yet the
 # stored doubles of g sum to 1 + 9/2**57, which makes L > 1 and the seams close.
 FALSE_REGIME = SystemConfig(("1/5",) * 5, ("6/30", "23/30", "1/30", "-22/30", "22/30"), "8b").system()
+
+
+def stepwise_moran(weights, lo_c, hi_c):
+    """``extrema._moran_root``'s loop on the window ``(lo_c, hi_c)``, from the bracket (0, 1)
+    one halving at a time; and the midpoints it sums."""
+    lo, hi, mids = 0.0, 1.0, []
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo > extrema.MORAN_XTOL and not lo_c < mid < hi_c:
+            h = 1.0 if mid <= lo_c else -1.0
+        else:
+            mids.append(mid)
+            h = math.fsum(w**mid for w in weights) - 1.0
+            if (hi - lo <= extrema.MORAN_XTOL and abs(h) <= extrema.MORAN_RESIDUAL) or not lo < mid < hi:
+                return mid, mids
+        if h > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+# Window ends for the bracket jump: anywhere around [0, 1], dyadic points
+# j / 2**m up to m = 60, and the ends of [0, 1] and of its outer 2**-47 bins.
+WINDOW_ENDS = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.builds(lambda m, j: math.ldexp(j % (2**m + 1), -m), st.integers(0, 60), st.integers(0, 2**60)),
+    st.sampled_from((0.0, 1.0, -5e-324, 1.0 + 2**-52, 2.0**-47, 1.0 - 2.0**-47, 0.5 + 2.0**-47)),
+)
+WINDOWS = st.one_of(
+    st.tuples(WINDOW_ENDS, WINDOW_ENDS).map(sorted),
+    # narrower than 2**-47, down to one ulp
+    st.builds(lambda lo, e: (lo, lo + math.ldexp(1.0, -e)), WINDOW_ENDS, st.integers(47, 60)),
+    st.just((0.0, 1.0)),  # _moran_window's fallback: plain bisection
+).map(tuple).filter(lambda w: w[0] < w[1])
 
 
 def covering_reference(system, k):
@@ -360,6 +395,30 @@ class TestMoran:
             sums.append(0)
             assert moran_dimension(Q, allowed) == want
         assert all(0 < n <= 16 for n in sums), sums
+
+    @given(window=WINDOWS)
+    @example(window=(-0.25, 0.3))  # lo_c <= 0
+    @example(window=(0.7, 1.2))  # hi_c >= 1
+    @example(window=(0.0, 1.0))
+    @example(window=(0.3, 0.3 + 2.0**-50))  # inside one 2**-47 bin
+    @example(window=(0.25, 0.375))  # dyadic ends
+    @example(window=(0.5 - 2.0**-47, 0.5 + 2.0**-47))
+    def test_bracket_jump_is_the_stepwise_halving(self, window):
+        # _moran_root takes the unsummed halvings in one integer step; on any window
+        # lo_c < hi_c, certified or not, it sums the midpoints the stepwise loop sums.
+        Q, V = CANTOR_MAX.Q, frozenset({1, 2})
+        want = stepwise_moran([Q.q[i] for i in sorted(V)], *window)
+        mids = []
+
+        def recording_repeat(x):
+            mids.append(x)
+            return itertools.repeat(x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(extrema, "_moran_window", lambda weights: window)
+            patch.setattr(extrema, "repeat", recording_repeat)
+            got = extrema._moran_root(Q, V)
+        assert (got, mids) == want
 
     @staticmethod
     def count_sums(monkeypatch, root, Q, allowed):
@@ -682,6 +741,56 @@ class TestNonInvariance:
             assert (rep.covering_proved, rep.covering_margin) == (proved, float(margin))
             outcomes.append(proved)
         assert outcomes.count(True) >= 50 and outcomes.count(False) >= 20
+
+    @given(
+        ratios=st.lists(
+            st.one_of(
+                st.floats(0.02, 0.98),
+                st.sampled_from((5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-17)),  # subnormal to tiny
+                st.sampled_from((1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 1e-12, 0.999)),  # near 1
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        at=st.integers(0, 4),
+        t=st.floats(0.01, 0.99),
+        share=st.floats(0.01, 0.99),
+    )
+    @example(ratios=[5e-324, 0.6], at=1, t=0.5, share=0.5)
+    @example(ratios=[0.3, 1.0 - 2.0**-53], at=0, t=0.5, share=0.5)
+    def test_covering_filter_matches_fraction_reference(self, ratios, at, t, share):
+        # Regime systems whose ratios below k run from 5e-324 to one ulp below 1: the
+        # float seam test with its exact fallback decides as Fractions do, and the
+        # margin is the exact L - 1 rounded once (about 2**53 where 1 - g_{k-1} is one ulp).
+        rest = math.fsum(ratios)
+        assume(rest < 2.0)
+        # One more ratio, inserted at `at`, brings the sum below k to 1 + f with f in (0, 1).
+        f_lo, f_hi = max(0.0, rest - 1.0), min(1.0, rest)
+        head = ratios[:at] + [1.0 + f_lo + t * (f_hi - f_lo) - rest] + ratios[at:]
+        k, total = len(head), math.fsum(head)
+        b = (total - 1.0) + share * (min(1.0, total) - (total - 1.0))  # g_k = -b, the last ratio 1 - total + b
+        g = closing((*head, -b, 1.0))  # closing sets the last to 1 - fsum(the others)
+        assume(0.0 < min(head) and max(head) < 1.0 and 0.0 < b < 1.0 and 0.0 < g[-1] < 1.0)
+        system = make_system(closing([1.0 / (k + 2)] * (k + 2)), g)
+        assume(closed_form_regime(system) == k)
+        proved, margin = covering_reference(system, k)
+        assert extrema._covering(system, k) == (proved, float(margin))
+
+    def test_seams_inside_the_float_bound_are_decided_exactly(self):
+        # One seam of SEAM and one of FALSE_REGIME computes v = 0.0 in floats,
+        # inside the bound B of _covering, and exact arithmetic decides them
+        # opposite ways: SEAM's seam 2 leaves a gap, FALSE_REGIME's seam 0
+        # closes.  Reading the float sign there, either way round, gets one wrong.
+        for system, a, closes in ((SEAM, 2, False), (FALSE_REGIME, 0, True)):
+            k = closed_form_regime(system)
+            g, delta = system.G.g, system.G.delta
+            c, T = 1.0 - g[k - 1], delta[k - 1]
+            p, u, r = delta[a] * c, g[a] * T, delta[a + 1] * c
+            assert (p + u) - r == 0.0 < 4.0 * EPS * (p + u + r)
+            d0, ga, d1, top, gk = map(Fraction, (delta[a], g[a], delta[a + 1], T, g[k - 1]))
+            assert (d0 * (1 - gk) + ga * top >= d1 * (1 - gk)) == closes
+            proved, margin = covering_reference(system, k)
+            assert extrema._covering(system, k) == (proved, float(margin)) and proved == closes
 
     def test_seam_gap_is_not_proved(self):
         assert SEAM.G.delta[4] == 1.0000000000000002 and closed_form_regime(SEAM) == 4
