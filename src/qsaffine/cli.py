@@ -147,9 +147,9 @@ def _level_row(y: float, digits: list[int], tolerance: float) -> dict:
 def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) -> dict:
     """Deterministic aggregate report; every numeric block carries its tolerance.
 
-    One pass, each step once, on values already checked: the tolerance and
-    depth here, the system by ``config.system()``.  Each block reads one
-    kernel, and equals what the public function over it gives:
+    One pass, each step once: the tolerance and depth are checked here, the
+    system by ``config.system()``.  Each block reads one kernel, and equals
+    what the public function over it gives:
     - ``bounds`` and the regime digit k: one ``extrema._closed_forms`` call
       (``closed_form_max``/``closed_form_min``, or the solver outside the
       regime), which also gives the quotients of the level rows, grouped by
@@ -160,10 +160,11 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
       from one pair of sums) and ``holder._binary_value``, with no report
       built;
     - ``maxima_set``: ``extrema.CantorSpec`` over V(M) (``maxima_set``);
-    - ``non_invariance``: ``extrema._certificate`` for that k
-      (``non_invariance_certificate``): the Moran root, the residual bound,
-      the exact covering and the y = 1 witness, whose value ``codec.unwalk``
-      composes in the descent that picks its digits.
+    - ``non_invariance``: ``extrema.non_invariance_certificate`` itself,
+      which checks the regime and depth again: the Moran
+      root, the residual bound, the exact covering and the y = 1 witness,
+      whose value ``codec.unwalk`` composes in the descent that picks its
+      digits.
     """
     extrema._check_tolerance(tolerance)
     depth = extrema.PREIMAGE_DEPTH if depth is None else check_count(depth, "depth", 1)
@@ -210,7 +211,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
             "singleton": spec.singleton,
             "tolerance": ANALYZE_TOL,
         }
-        report = extrema._certificate(system, k, depth)
+        report = extrema.non_invariance_certificate(system, depth)
         non_invariance = {**report._asdict(), "restricted_digits": sorted(report.restricted_digits)}
 
     return {

@@ -35,6 +35,7 @@ from itertools import accumulate, chain, cycle, islice
 from typing import Callable
 
 from .errors import (
+    AlphabetMismatch,
     InsufficientDepth,
     InvalidDigit,
     OutOfDomain,
@@ -276,9 +277,9 @@ class FrequencyVector(Frozen):
 
 
 def check_alphabet(d: DigitString, s: int) -> None:
-    """Raise ``InvalidDigit`` unless ``d`` is a string over the alphabet of size ``s``."""
+    """Raise ``AlphabetMismatch`` unless ``d`` is a string over the alphabet of size ``s``."""
     if d.s != s:
-        raise InvalidDigit(f"digit string over alphabet {d.s} used with alphabet {s}")
+        raise AlphabetMismatch(f"digit string over alphabet {d.s} used with alphabet {s}")
 
 
 def walk(digits, offsets, scales) -> tuple[float, float]:
@@ -301,15 +302,22 @@ def unwalk(t: float, offsets, scales, depth: int, digits=None) -> tuple[float, t
     (the larger digit on a tie), appends it to the list ``digits`` when one
     is given, composes its map as ``walk`` does (``acc += offsets[d] *
     prod``, ``prod *= scales[d]``) and renormalizes ``t`` to ``(t -
-    offsets[d]) / scales[d]``, clamped to at most 1.  The residue never
-    falls below 0: the difference is at least +0.0 since ``offsets[d] <=
-    t``, and every scale is positive.  A residue of exactly 0 closes with
-    period ``(0,)``; after ``depth`` digits the period is None (truncated).
+    offsets[d]) / scales[d]``.  A residue of exactly 0 closes with period
+    ``(0,)``; after ``depth`` digits the period is None (truncated).
 
     It serves y (``extrema``: the preimage digits over the digits below k,
     so it has no all-high close); the digits of x come from ``unwalk_into``.
-    There the offsets ascend from ``offsets[0] = 0.0`` and every scale lies
-    in (0, 1), so ``acc`` is the value ``selfaffine.evaluate`` gives the
+    There the offsets ascend from ``offsets[0] = 0.0``, each is the running
+    sum ``offsets[d+1] = fl(offsets[d] + scales[d])`` that ``running_sums``
+    stores, every scale lies in (0, 1), and the top digit's map ends past
+    1: ``offsets[-1] + scales[len(offsets) - 1] > 1``, as the regime gives.
+    So the residue stays in [0, 1] with no clamp.  It never falls below 0:
+    the difference is at least +0.0 since ``offsets[d] <= t``.  Nor does it
+    pass 1, as rounding is monotone.  Below the top digit the double ``t <
+    offsets[d+1]`` lies below the rounding midpoint, so ``t < offsets[d] +
+    scales[d]``; at the top digit ``t <= 1 < offsets[d] + scales[d]``.
+    Either way ``fl(t - offsets[d]) <= scales[d]``, and the quotient is at
+    most 1.  And ``acc`` is the value ``selfaffine.evaluate`` gives the
     string of the digits, bit for bit: a closing run of zeros adds +0.0.
     Without a ``digits`` list the walk also stops, with period None, once
     ``offsets[-1] * prod * 2**55 < acc``.  No later term can change ``acc``
@@ -330,8 +338,6 @@ def unwalk(t: float, offsets, scales, depth: int, digits=None) -> tuple[float, t
         acc += offsets[d] * prod
         prod *= scales[d]
         t = (t - offsets[d]) / scales[d]
-        if t > 1.0:
-            t = 1.0
     return acc, None
 
 
@@ -369,7 +375,7 @@ def unwalk_into(t: float, offsets, scales, values, ratios, depth: int, stop: flo
         acc += values[d] * prod
         prod *= ratios[d]
         t = (t - offsets[d]) / scales[d]
-        if t > 1.0:
+        if t > 1.0:  # offsets[-1] + scales[-1] can fall short of 1
             t = 1.0
         if d != hi:
             acc_r, prod_r = acc, prod

@@ -498,8 +498,7 @@ def preimage_residual_bound(system: SelfAffineSystem, depth: int) -> float:
     relative error of about ``j * eps``), so an exact witness passes even
     where the truncation term falls below double rounding.  The depth is
     checked first, then the regime; ``_residual_bound`` computes the bound
-    for the k that ``non_invariance_certificate`` and ``cli.build_analysis``
-    have already decided.
+    for the k that ``non_invariance_certificate`` has already decided.
     """
     depth = check_count(depth, "depth", 1)
     return _residual_bound(system, _require_regime(system), depth)
@@ -532,48 +531,40 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
 
 
 def _covering(system: SelfAffineSystem, k: int) -> tuple[bool, float]:
-    """Whether the digit maps below k cover ``[0, L]`` with ``L >= 1``, decided exactly; and ``L - 1``.
+    """Whether the digit maps below k cover ``[0, L]``, decided exactly; and ``L - 1``.
 
     The map of digit a sends ``[0, L]`` onto ``[delta_a, delta_a + g_a L]``
     (``g_a > 0`` below k, so the ``delta_a`` ascend from 0), and the map of
-    k-1 ends at its fixed point L.  With ``c = 1 - g_{k-1}`` and ``T =
-    delta_{k-1}`` the images cover ``[0, L]`` when ``T >= c`` (that is
-    ``L >= 1``) and every seam closes: ``D = delta_a c + g_a T - delta_{a+1} c >= 0``
-    for a < k-1.  ``T >= c`` and ``L - 1 = (T - c) / c``, rounded once,
-    come from the exact ratios of the two doubles T and ``g_{k-1}``.
+    k-1 ends at its fixed point ``L = T / c``, with ``T = delta_{k-1}`` and
+    ``c = 1 - g_{k-1}``.  The regime gives ``L > 1``: ``running_sums``
+    stores ``delta_k = fl(T + g_{k-1}) > 1`` and rounding is monotone, so
+    ``T + g_{k-1} > 1``.  So the images cover ``[0, L]`` when every seam
+    a < k-1 closes: ``delta_a + g_a L >= delta_{a+1}``.  ``L - 1 = (T - c) /
+    c``, rounded once, comes from the exact ratios of the doubles T and
+    ``g_{k-1}``.
 
-    Each seam is decided in floats first: ``p, u, r`` are the products
-    ``delta_a c``, ``g_a T``, ``delta_{a+1} c`` on ``fl(c)``,
-    ``v = (p + u) - r`` and ``B = 4 eps (p + u + r) + 2**-1072``.  In the
-    standard model (Higham 2002, §2.2 and §3.1) each operation rounds by a
-    relative ``eps/2`` at most, and a product that underflows by an absolute
-    ``2**-1075`` instead; ``c >= 2**-53`` is normal and every term is
-    non-negative.  So p and r carry two roundings, u one and ``p + u`` one
-    more, and ``|fl(p + u) - r - D| <= 1.51 eps (p + u + r) + 3.01 * 2**-1075``.
-    ``v`` has the sign of ``fl(p + u) - r`` and is within ``eps/2`` of it,
-    while B, rounded three times, is at least ``3.99 eps (p + u + r) +
-    6.9 * 2**-1075``.  So ``v > B`` proves D > 0 and ``v < -B`` proves D < 0;
-    only a seam with ``|v| <= B`` is decided by comparing ints, every double
-    scaled to an integer by a common power of two.
+    With ``e_a = delta_a + g_a - delta_{a+1}`` the seam's overlap is
+    ``g_a (L - 1) + e_a``.  ``running_sums`` also stores ``delta_{a+1} =
+    fl(delta_a + g_a)``, so e_a is that sum's rounding error, which TwoSum
+    (Knuth, TAOCP vol. 2, §4.2.2) gives exactly in floats.  A seam with
+    ``e_a >= 0`` closes.  One whose offset rounded up, ``e_a < 0``, closes
+    when ``L - 1 >= -e_a / g_a``: both sides are rounded once and rounding
+    is monotone, so ``fl(L - 1) > fl(-e_a / g_a)`` proves it.  Only where
+    the rounded values tie or tip the other way do ints decide, comparing
+    ``g_a (T - c)`` with ``-e_a c`` on the exact ratios.
     """
     g, delta = system.G.g, system.G.delta
     tn, td = delta[k - 1].as_integer_ratio()
     gn, gd = g[k - 1].as_integer_ratio()
     top, c_int = tn * gd, (gd - gn) * td  # T and c, both scaled by gd * td
     margin = (top - c_int) / c_int
-    if top < c_int:
-        return False, margin
-    c, T, slack = 1.0 - g[k - 1], delta[k - 1], 4.0 * EPS
     for d0, ga, d1 in zip(delta, g, delta[1:k]):  # the seam of digits a and a + 1
-        pu, r = d0 * c + ga * T, d1 * c
-        v, bound = pu - r, slack * (pu + r) + 2.0**-1072
-        if v < -bound:
-            return False, margin
-        if v <= bound:
-            ratios = [x.as_integer_ratio() for x in (d0, ga, d1)]
-            unit = max(den for _, den in ratios)
-            n0, ng, n1 = (num * (unit // den) for num, den in ratios)
-            if n0 * c_int + ng * top < n1 * c_int:
+        bv = d1 - d0
+        e = (d0 - (d1 - bv)) + (ga - bv)  # d0 + ga - d1 exactly (TwoSum; d1 = fl(d0 + ga))
+        if e < 0.0 and margin <= -e / ga:  # both correctly rounded: margin > -e/ga proves the seam closed
+            an, ad = ga.as_integer_ratio()
+            en, ed = e.as_integer_ratio()
+            if an * (top - c_int) * ed < -en * ad * c_int:
                 return False, margin
     return True, margin
 
@@ -591,11 +582,7 @@ def non_invariance_certificate(system: SelfAffineSystem, depth: int = PREIMAGE_D
     A residual above ``preimage_residual_bound`` raises ``CertificationError``.
     """
     k = _require_regime(system)
-    return _certificate(system, k, check_count(depth, "depth", 1))
-
-
-def _certificate(system: SelfAffineSystem, k: int, depth: int) -> NonInvarianceReport:
-    """``non_invariance_certificate`` for the regime digit ``k`` and a checked ``depth``."""
+    depth = check_count(depth, "depth", 1)
     v_star = frozenset(range(k))
     dim = _moran_root(system.Q, v_star)
     if not dim < 1.0:

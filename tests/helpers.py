@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qsaffine import DigitString, SelfAffineSystem
+from qsaffine import DigitString, SelfAffineSystem, closed_form_regime
 from qsaffine.config import SystemConfig
 
 
@@ -119,6 +119,26 @@ def greedy_digits(x: float, Q, depth: int) -> tuple[tuple[int, ...], tuple[int, 
         digits.append(d)
         t = min(max((t - Q.beta[d]) / Q.q[d], 0.0), 1.0)
     return tuple(digits), None
+
+
+def reference_preimage(system: SelfAffineSystem, y: float, depth: int) -> DigitString:
+    """``extrema.preimage_digits`` with its residue clamped, written apart from the codec.
+
+    The digit rule of the preimage descent: the largest digit below the regime
+    digit k with ``delta_d <= t`` (a linear scan, no bisect), the residue
+    ``(t - delta_d) / g_d`` clamped to [0, 1], a close with period ``(0,)`` at a
+    residue of exactly 0, and period None after ``depth`` digits.
+    """
+    k = closed_form_regime(system)
+    delta, g = system.G.delta, system.G.g
+    t, digits = float(y), []
+    for _ in range(depth):
+        if t == 0.0:
+            return DigitString(tuple(digits), (0,), system.s)
+        d = max(i for i in range(k) if delta[i] <= t)
+        digits.append(d)
+        t = min(max((t - delta[d]) / g[d], 0.0), 1.0)
+    return DigitString(tuple(digits), None, system.s)
 
 
 def random_exact_string(

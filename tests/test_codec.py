@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from qsaffine import (
     AffineCoefficients,
+    AlphabetMismatch,
     DigitString,
     InsufficientDepth,
     InvalidDigit,
@@ -182,6 +183,15 @@ class TestCanonicalForm:
             with pytest.raises(ValidationError, match="malformed digit string"):
                 DigitString.from_text(text, 4)
 
+    def test_period_needs_its_parentheses_and_a_digit(self):
+        for text in ("1,(2", "(2"):
+            message = f"^unbalanced period parenthesis in {re.escape(repr(text))}$"
+            with pytest.raises(ValidationError, match=message):
+                DigitString.from_text(text, 4)
+        for text in ("1,()", "()"):
+            with pytest.raises(ValidationError, match="^period must contain at least one digit$"):
+                DigitString.from_text(text, 4)
+
 
 class TestDecode:
     def test_all_zero_period_decodes_to_zero(self):
@@ -204,7 +214,7 @@ class TestDecode:
         assert decode(d, Q4) == left
 
     def test_alphabet_checked(self):
-        with pytest.raises(InvalidDigit):
+        with pytest.raises(AlphabetMismatch, match="^digit string over alphabet 3 used with alphabet 4$"):
             decode(DigitString((1,), (0,), 3), Q4)
 
     def test_sum_rounding_above_one_is_clamped(self):

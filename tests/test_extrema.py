@@ -39,7 +39,7 @@ from qsaffine import (
     preimage_residual_bound,
 )
 from qsaffine import extrema
-from qsaffine.codec import EPS, unwalk, walk
+from qsaffine.codec import unwalk, walk
 from qsaffine.config import SystemConfig, load_config
 from helpers import (
     CANTOR_MAX,
@@ -54,6 +54,7 @@ from helpers import (
     random_regime_system,
     random_weights,
     reference_moran,
+    reference_preimage,
     system as make_system,
 )
 
@@ -70,6 +71,16 @@ SEAM = SystemConfig(("1/6",) * 6, ("1/13", "6/13", "3/13", "3/13", "-3/13", "3/1
 # ROADMAP item 8b's false regime: delta_3 = 1 exactly in rationals, yet the
 # stored doubles of g sum to 1 + 9/2**57, which makes L > 1 and the seams close.
 FALSE_REGIME = SystemConfig(("1/5",) * 5, ("6/30", "23/30", "1/30", "-22/30", "22/30"), "8b").system()
+# Seam 1 of each rounds its offset up (e_1 < 0), and the correctly rounded L - 1
+# equals the correctly rounded -e_1 / g_1: only exact arithmetic tells that the
+# first closes and the second leaves a gap.
+TIE_CLOSED, TIE_OPEN = (
+    make_system(closing([1 / 5] * 5), closing((*head, -0.25, 1.0)))
+    for head in (
+        (0.7893212821351178, 0.2106787178648821, 2.427659161360611e-16),
+        (0.7666131799297081, 0.23338682007029174, 2.2994750829577327e-16),
+    )
+)
 
 
 def stepwise_moran(weights, lo_c, hi_c):
@@ -660,6 +671,26 @@ class TestPreimage:
             d = preimage_digits(CANTOR_MAX, float(y), 40)
             assert all(dig < k for dig in (*d.prefix, *(d.period or ())))
 
+    def test_descent_matches_clamped_reference(self):
+        # unwalk keeps no clamp: each offset is the rounded running sum of the
+        # ratios and the top map ends past 1, so no residue passes 1.  Its digits
+        # are those of a descent that clamps, and its value is evaluate's.
+        rng = np.random.default_rng(30)
+        systems = [random_regime_system(rng)[0] for _ in range(40)]
+        systems += [TIE_CLOSED, TIE_OPEN, SEAM, FALSE_REGIME, NEAR_CRITICAL]
+        for system in systems:
+            k = closed_form_regime(system)
+            delta, g = system.G.delta, system.G.g
+            ys = [0.0, 1.0, *map(float, rng.random(5))]
+            for d in delta[:k]:
+                if d <= 1.0:
+                    below = math.nextafter(d, 0.0)
+                    ys += [d, below, math.nextafter(below, 0.0)]
+            for y in ys:
+                want = preimage_digits(system, y, 64)
+                assert want == reference_preimage(system, y, 64)
+                assert unwalk(y, delta[:k], g, 64)[0] == evaluate(system, want).value
+
     def test_residual_bound(self):
         bound = preimage_residual_bound(CANTOR_MAX, 64)
         # (M - m) g_*^64 plus the rounding allowance 8 eps max(1, max|delta|) / (1 - g_*)^2
@@ -776,21 +807,34 @@ class TestNonInvariance:
         proved, margin = covering_reference(system, k)
         assert extrema._covering(system, k) == (proved, float(margin))
 
-    def test_seams_inside_the_float_bound_are_decided_exactly(self):
-        # One seam of SEAM and one of FALSE_REGIME computes v = 0.0 in floats,
-        # inside the bound B of _covering, and exact arithmetic decides them
-        # opposite ways: SEAM's seam 2 leaves a gap, FALSE_REGIME's seam 0
-        # closes.  Reading the float sign there, either way round, gets one wrong.
+    def test_seams_are_decided_by_their_offsets_rounding(self):
+        # A seam closes by L - 1 >= -e_a / g_a, e_a = delta_a + g_a - delta_{a+1} the
+        # rounding error of the stored offset.  SEAM's seam 2 rounded up and its
+        # correctly rounded L - 1 falls below -e_2 / g_2, so the ints decide it: open.
+        # FALSE_REGIME's seam 0 has e_0 = 0 and closes with nothing to compare.
         for system, a, closes in ((SEAM, 2, False), (FALSE_REGIME, 0, True)):
             k = closed_form_regime(system)
             g, delta = system.G.g, system.G.delta
-            c, T = 1.0 - g[k - 1], delta[k - 1]
-            p, u, r = delta[a] * c, g[a] * T, delta[a + 1] * c
-            assert (p + u) - r == 0.0 < 4.0 * EPS * (p + u + r)
-            d0, ga, d1, top, gk = map(Fraction, (delta[a], g[a], delta[a + 1], T, g[k - 1]))
-            assert (d0 * (1 - gk) + ga * top >= d1 * (1 - gk)) == closes
+            e = Fraction(delta[a]) + Fraction(g[a]) - Fraction(delta[a + 1])
             proved, margin = covering_reference(system, k)
+            if closes:
+                assert e == 0
+            else:
+                assert e < 0 and float(margin) < float(-e / Fraction(g[a]))
+            assert (Fraction(g[a]) * margin + e >= 0) == closes
             assert extrema._covering(system, k) == (proved, float(margin)) and proved == closes
+
+    def test_seams_tied_in_floats_are_decided_exactly(self):
+        # Reading the tie from the rounded values, either way round, gets one wrong.
+        for system, closes in ((TIE_CLOSED, True), (TIE_OPEN, False)):
+            k = closed_form_regime(system)
+            g, delta = system.G.g, system.G.delta
+            e = Fraction(delta[1]) + Fraction(g[1]) - Fraction(delta[2])
+            proved, margin = covering_reference(system, k)
+            assert k == 3 and e < 0 and float(margin) == float(-e / Fraction(g[1]))
+            assert proved == closes
+            assert extrema._covering(system, k) == (proved, float(margin))
+            assert non_invariance_certificate(system).covering_proved == closes
 
     def test_seam_gap_is_not_proved(self):
         assert SEAM.G.delta[4] == 1.0000000000000002 and closed_form_regime(SEAM) == 4

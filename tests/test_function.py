@@ -9,8 +9,8 @@ from hypothesis import assume, given, strategies as st
 
 from qsaffine import (
     AffineCoefficients,
+    AlphabetMismatch,
     DigitString,
-    InvalidDigit,
     SelfAffineSystem,
     ValidationError,
     cylinder_bounds,
@@ -106,7 +106,7 @@ class TestEvaluate:
         assert abs(full - v) <= err
 
     def test_alphabet_checked(self):
-        with pytest.raises(InvalidDigit):
+        with pytest.raises(AlphabetMismatch, match="^digit string over alphabet 3 used with alphabet 4$"):
             evaluate(CANTOR_MAX, DigitString((), (1,), 3))
 
     @given(data=st.data(), system=systems())

@@ -1,7 +1,7 @@
 """The contract of the value types: fields fixed at construction, compared by value.
 
 Every type builds its fields once, validates them, and then refuses
-assignment; equal fields mean equal values with equal hashes; ``repr`` names
+assignment and deletion; equal fields mean equal values with equal hashes; ``repr`` names
 the class.  ``SystemConfig`` compares its spellings and label only, not the
 doubles parsed from them, and ``SelfAffineSystem`` caches its bounds in its
 instance ``__dict__``.
@@ -25,6 +25,7 @@ from qsaffine import (
     SystemConfig,
     ValidationError,
 )
+from qsaffine.codec import Frozen
 
 CANTOR_Q = (0.2, 0.4, 0.2, 0.2)
 CANTOR_G = (0.4, 0.8, 0.4, -0.6)
@@ -69,6 +70,9 @@ class TestEveryType:
         before = getattr(value, field)
         with pytest.raises(AttributeError):
             setattr(value, field, before)
+        message = f"^cannot delete field {field!r} of a {name}$" if isinstance(value, Frozen) else None
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, field)
         assert getattr(value, field) is before
 
     def test_repr_names_the_class(self, name):
