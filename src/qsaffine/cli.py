@@ -148,23 +148,23 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     """Deterministic aggregate report; every numeric block carries its tolerance.
 
     One pass, each step once: the tolerance and depth are checked here, the
-    system by ``config.system()``.  Each block reads one kernel, and equals
-    what the public function over it gives:
-    - ``bounds`` and the regime digit k: one ``extrema._closed_forms`` call
-      (``closed_form_max``/``closed_form_min``, or the solver outside the
-      regime), which also gives the quotients of the level rows, grouped by
-      ``extrema._level_rows`` (``level_set`` per row) and formatted by
-      ``_level_row``;
+    system by ``config.system()``, and the regime is decided once, in the
+    record of ``extrema._closed_forms``, which every later step reads.
+    Each block equals what the public function over it gives:
+    - ``bounds``: the record's M and m (``closed_form_max``,
+      ``closed_form_min``), or the solver outside the regime; the record's
+      quotients give the level rows, grouped by ``extrema._level_rows``
+      (``level_set`` per row) and formatted by ``_level_row``;
     - ``exponents`` and ``singular``: ``holder._global_value``,
       ``holder._typical`` (the a.e. exponent and the singularity predicate
       from one pair of sums) and ``holder._binary_value``, with no report
       built;
-    - ``maxima_set``: ``extrema.CantorSpec`` over V(M) (``maxima_set``);
-    - ``non_invariance``: ``extrema.non_invariance_certificate`` itself,
-      which checks the regime and depth again: the Moran
-      root, the residual bound, the exact covering and the y = 1 witness,
-      whose value ``codec.unwalk`` composes in the descent that picks its
-      digits.
+    - ``maxima_set``: ``extrema.maxima_set`` itself, which cross-checks M,
+      V(M) and m against the solver before anything else is reported;
+    - ``non_invariance``: ``extrema.non_invariance_certificate`` itself: the
+      Moran root, the residual bound, the exact covering and the y = 1
+      witness, whose value ``codec.unwalk`` composes in the descent that
+      picks its digits.
     """
     extrema._check_tolerance(tolerance)
     depth = extrema.PREIMAGE_DEPTH if depth is None else check_count(depth, "depth", 1)
@@ -173,9 +173,19 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     forms = extrema._closed_forms(system)
     k = forms.k
     oracle = system.bounds
+    maxima = non_invariance = None
     if k is not None:
+        spec = extrema.maxima_set(system)
         m_val, big_m = forms.m, forms.M
         source, bounds_tol = "closed-form", extrema.ORACLE_TOL
+        maxima = {
+            "digits": sorted(spec.allowed),
+            "dimension": spec.dimension,
+            "singleton": spec.singleton,
+            "tolerance": ANALYZE_TOL,
+        }
+        report = extrema.non_invariance_certificate(system, depth)
+        non_invariance = {**report._asdict(), "restricted_digits": sorted(report.restricted_digits)}
     else:
         m_val, big_m = oracle.m, oracle.M
         source, bounds_tol = "oracle", oracle.residual
@@ -200,19 +210,6 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
             ("binary", holder._binary_value(system)),
         )
     }
-
-    maxima = None
-    non_invariance = None
-    if k is not None:
-        spec = extrema.CantorSpec(system.Q, forms.V)
-        maxima = {
-            "digits": sorted(spec.allowed),
-            "dimension": spec.dimension,
-            "singleton": spec.singleton,
-            "tolerance": ANALYZE_TOL,
-        }
-        report = extrema.non_invariance_certificate(system, depth)
-        non_invariance = {**report._asdict(), "restricted_digits": sorted(report.restricted_digits)}
 
     return {
         "system": {

@@ -9,9 +9,11 @@ points whose digits stay inside ``V(M) = {i : delta_i / (1 - g_i) = M}`` — a
 point, or a Cantor-type set whose Hausdorff dimension solves the Moran
 equation ``sum_{i in V} q_i^x = 1``.
 
-Every closed form is cross-checked here against the policy-iteration bounds
-solver of ``selfaffine``; a disagreement raises ``CertificationError``
-rather than returning silently.
+Each system's regime digit k, quotients, M, V(M) and m are decided once, in
+the record of ``_closed_forms``.  Every closed form this module returns is
+cross-checked by ``_in_regime`` against the policy-iteration bounds solver
+of ``selfaffine``; a disagreement raises ``CertificationError`` rather than
+returning silently.
 """
 
 from __future__ import annotations
@@ -251,29 +253,16 @@ def closed_form_regime(system: SelfAffineSystem) -> int | None:
     Returns k when exactly one ratio is negative, all others are positive,
     and ``delta_k > 1``; returns None otherwise.  A returned k is at least
     2: ``running_sums`` makes ``delta_0 = 0.0`` and ``delta_1 = g_0``
-    exactly, and validation keeps ``|g_0| < 1``.
+    exactly, and validation keeps ``|g_0| < 1``.  Read from the record of
+    ``_closed_forms``, which decides it.
     """
-    g, delta = system.G.g, system.G.delta
-    negatives = [i for i, v in enumerate(g) if v < 0.0]
-    if len(negatives) != 1:
-        return None
-    k = negatives[0]
-    return k if delta[k] > 1.0 else None
-
-
-def _require_regime(system: SelfAffineSystem) -> int:
-    k = closed_form_regime(system)
-    if k is None:
-        raise ConditionsNotMet(
-            "closed forms need exactly one negative ratio with cumulative offset above 1"
-        )
-    return k
+    return _closed_forms(system).k
 
 
 class _ClosedForms(NamedTuple):
-    """What ``_closed_forms`` computes; ``M``, ``V`` and ``m`` are None outside the regime."""
+    """The decision record of ``_closed_forms``; ``M``, ``V`` and ``m`` are None outside the regime."""
 
-    quotients: list[float]
+    quotients: tuple[float, ...]
     k: int | None
     M: float | None
     V: frozenset[int] | None
@@ -281,62 +270,78 @@ class _ClosedForms(NamedTuple):
 
 
 def _closed_forms(system: SelfAffineSystem) -> _ClosedForms:
-    """The quotients ``delta_i / (1 - g_i)`` and, in the regime, M, V(M) and m, each once.
+    """The one decision record of a system: k, the quotients and, in the regime, M, V(M) and m.
 
-    ``closed_form_max``, ``closed_form_min`` and ``maxima_set`` read their
-    values from here, and ``cli.build_analysis`` calls it once per system
-    for all of them and for ``_level_rows``.  V(M) is ``level_set(system, M).V``
-    from the same quotients.  Every regime value is checked before it is
-    returned: M against the bounds solver, then ``0, k not in V``, then
-    ``|m| < M`` and m against the bounds solver.
+    The quotients are ``delta_i / (1 - g_i)``; k is decided as
+    ``closed_form_regime`` says; ``M = max`` of the quotients, V(M) is
+    ``level_set(system, M).V`` from the same quotients, and ``m = min(0,
+    delta_k + g_k M)``.  Built on first use and kept in the system's
+    ``__dict__``, as ``bounds`` is, so it takes no part in equality; every
+    function of this module and ``cli.build_analysis`` reads it from here.
+    It needs no bounds solver and never raises: ``_in_regime``
+    cross-checks the regime values for the functions that return them.
     """
-    g, delta = system.G.g, system.G.delta
-    quotients = [d / (1.0 - v) for d, v in zip(delta, g)]
-    k = closed_form_regime(system)
+    forms = system.__dict__.get("_closed_forms")
+    if forms is None:
+        g, delta = system.G.g, system.G.delta
+        quotients = tuple([d / (1.0 - v) for d, v in zip(delta, g)])
+        negatives = [i for i, v in enumerate(g) if v < 0.0]
+        k = negatives[0] if len(negatives) == 1 and delta[negatives[0]] > 1.0 else None
+        M = V = m = None
+        if k is not None:
+            M = max(quotients)
+            V = frozenset(i for i, y in enumerate(quotients) if abs(y - M) <= LEVEL_TOL)
+            m = min(0.0, delta[k] + g[k] * M)
+        forms = system.__dict__["_closed_forms"] = _ClosedForms(quotients, k, M, V, m)
+    return forms
+
+
+def _in_regime(system: SelfAffineSystem, checked: bool = True) -> _ClosedForms:
+    """The record of a system in the regime; ``ConditionsNotMet`` outside it.
+
+    With ``checked`` (``closed_form_max``, ``closed_form_min`` and
+    ``maxima_set``) its values are cross-checked first, on every call: M
+    against the bounds solver, then ``0, k not in V``, then ``|m| < M`` and
+    m against the bounds solver.  A failing check raises
+    ``CertificationError``.  The preimage functions and the certificate read
+    only k, unchecked.
+    """
+    _, k, M, V, m = forms = _closed_forms(system)
     if k is None:
-        return _ClosedForms(quotients, None, None, None, None)
-    M = max(quotients)
-    V = frozenset(i for i, y in enumerate(quotients) if abs(y - M) <= LEVEL_TOL)
+        raise ConditionsNotMet(
+            "closed forms need exactly one negative ratio with cumulative offset above 1"
+        )
+    if not checked:
+        return forms
     oracle = system.bounds
     if abs(M - oracle.M) > ORACLE_TOL:
-        raise CertificationError(
-            f"closed-form maximum {M!r} disagrees with oracle {oracle.M!r}"
-        )
+        raise CertificationError(f"closed-form maximum {M!r} disagrees with oracle {oracle.M!r}")
     if 0 in V or k in V:
         raise CertificationError(f"digits 0 and {k} cannot be maximum digits; got V = {set(V)}")
-    m = min(0.0, delta[k] + g[k] * M)
     if not abs(m) < M:
         raise CertificationError(f"|m| < M violated: m = {m!r}, M = {M!r}")
     if abs(m - oracle.m) > ORACLE_TOL:
-        raise CertificationError(
-            f"closed-form minimum {m!r} disagrees with oracle {oracle.m!r}"
-        )
-    return _ClosedForms(quotients, k, M, V, m)
-
-
-def _regime_forms(system: SelfAffineSystem) -> _ClosedForms:
-    """``_closed_forms`` of a system in the regime; ``ConditionsNotMet`` outside it."""
-    _require_regime(system)
-    return _closed_forms(system)
+        raise CertificationError(f"closed-form minimum {m!r} disagrees with oracle {oracle.m!r}")
+    return forms
 
 
 def closed_form_max(system: SelfAffineSystem) -> tuple[float, frozenset[int]]:
     """Maximum ``M = max_i delta_i / (1 - g_i)`` and its digit set V(M).
 
-    Read from ``_closed_forms``, which cross-checks them against the bounds
+    Read through ``_in_regime``, which cross-checks them against the bounds
     solver and asserts that neither 0 nor the negative digit k belongs to
     V(M) (their quotients are 0 and a value below delta_k respectively).
     """
-    forms = _regime_forms(system)
+    forms = _in_regime(system)
     return forms.M, forms.V
 
 
 def closed_form_min(system: SelfAffineSystem) -> float:
-    """Minimum ``m = min(0, delta_k + g_k M)``, read from ``_closed_forms``.
+    """Minimum ``m = min(0, delta_k + g_k M)``, read through ``_in_regime``.
 
-    That helper asserts |m| < M and checks m against the bounds solver.
+    That reader asserts |m| < M and checks m against the bounds solver.
     """
-    return _regime_forms(system).m
+    return _in_regime(system).m
 
 
 def _check_tolerance(tol: float) -> None:
@@ -355,14 +360,12 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
     _check_tolerance(tol)
     if not math.isfinite(y):
         raise ValidationError(f"level value must be finite; got {y!r}")
-    g, delta = system.G.g, system.G.delta
-    V = frozenset(
-        i for i in range(system.s) if abs(delta[i] / (1.0 - g[i]) - y) <= tol
-    )
+    quotients = _closed_forms(system).quotients
+    V = frozenset(i for i, v in enumerate(quotients) if abs(v - y) <= tol)
     return LevelSetDescriptor(y=float(y), V=V)
 
 
-def _level_rows(quotients: list[float], tol: float) -> list[tuple[float, list[int]]]:
+def _level_rows(quotients: tuple[float, ...], tol: float) -> list[tuple[float, list[int]]]:
     """``(y, digits)`` per level by ascending y: the digits of ``level_set`` at y that no
     earlier level holds, from one walk over the sorted ``(quotient, digit)`` pairs.
 
@@ -423,12 +426,12 @@ def derived_levels(
 def maxima_set(system: SelfAffineSystem) -> CantorSpec:
     """The set of maximum points as a digit-restricted set with its dimension.
 
-    V(M) is read from ``_closed_forms``, as ``closed_form_max`` reads it;
+    V(M) is read through ``_in_regime``, as ``closed_form_max`` reads it;
     ``CantorSpec`` works out the Moran dimension of V(M).  A singleton
     V(M) = {i} means a unique maximum point, the fixed point of the digit-i
     map, and dimension 0 (``CantorSpec.singleton`` is then set).
     """
-    return CantorSpec(system.Q, _regime_forms(system).V)
+    return CantorSpec(system.Q, _in_regime(system).V)
 
 
 def cantor_construction(
@@ -497,15 +500,11 @@ def preimage_residual_bound(system: SelfAffineSystem, depth: int) -> float:
     ``8 * eps * max(1, max|delta|) / (1 - g_*)^2`` (the j-th term carries a
     relative error of about ``j * eps``), so an exact witness passes even
     where the truncation term falls below double rounding.  The depth is
-    checked first, then the regime; ``_residual_bound`` computes the bound
-    for the k that ``non_invariance_certificate`` has already decided.
+    checked first, then the regime; k is read from the record of
+    ``_closed_forms``, unchecked.
     """
     depth = check_count(depth, "depth", 1)
-    return _residual_bound(system, _require_regime(system), depth)
-
-
-def _residual_bound(system: SelfAffineSystem, k: int, depth: int) -> float:
-    """``preimage_residual_bound`` for the regime digit ``k`` and a checked ``depth``."""
+    k = _in_regime(system, checked=False).k
     g_star = max(system.G.g[:k])
     scale = max(1.0, max(map(abs, system.G.delta)))
     rounding = 8.0 * EPS * scale / (1.0 - g_star) ** 2
@@ -524,7 +523,7 @@ def preimage_digits(system: SelfAffineSystem, y: float, depth: int) -> DigitStri
     y, and all its digits stay below k.  ``unwalk`` composes that value in
     the same descent; ``non_invariance_certificate`` reads it from there.
     """
-    k = _require_regime(system)
+    k = _in_regime(system, checked=False).k
     digits: list[int] = []
     period = unwalk(y, system.G.delta[:k], system.G.g, depth, digits)[1]
     return DigitString._from_checked(tuple(digits), period, system.s)
@@ -580,20 +579,19 @@ def non_invariance_certificate(system: SelfAffineSystem, depth: int = PREIMAGE_D
     composed in the descent that picks its digits (``codec.unwalk``), bit
     for bit ``evaluate(system, preimage_digits(system, 1.0, depth)).value``.
     A residual above ``preimage_residual_bound`` raises ``CertificationError``.
+    Like the preimage functions, it reads only k from the record, unchecked.
     """
-    k = _require_regime(system)
+    k = _in_regime(system, checked=False).k
     depth = check_count(depth, "depth", 1)
     v_star = frozenset(range(k))
     dim = _moran_root(system.Q, v_star)
     if not dim < 1.0:
         raise CertificationError("restricted digit set must have dimension below 1")
-    bound = _residual_bound(system, k, depth)
+    bound = preimage_residual_bound(system, depth)
     proved, margin = _covering(system, k)
     residual = abs(unwalk(1.0, system.G.delta[:k], system.G.g, depth)[0] - 1.0)
     if residual > bound:
-        raise CertificationError(
-            f"witness residual {residual!r} exceeds the guaranteed bound {bound!r}"
-        )
+        raise CertificationError(f"witness residual {residual!r} exceeds the guaranteed bound {bound!r}")
     return NonInvarianceReport(
         dimension=dim,
         restricted_digits=v_star,

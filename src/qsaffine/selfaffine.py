@@ -77,7 +77,8 @@ class SelfAffineSystem(Frozen):
     """A validated (weights, ratios) pair defining one function.
 
     ``bounds``, ``logs`` and ``default_depth`` are computed on first use and
-    cached in the instance ``__dict__``; they take no part in equality.
+    cached in the instance ``__dict__``, as is the decision record of
+    ``extrema._closed_forms`` under that name; they take no part in equality.
     """
 
     _fields = ("Q", "G")

@@ -392,6 +392,18 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "CertificationError"
 
+    def test_failing_cross_check_is_5(self, capsys, monkeypatch):
+        # The real checks reader, not a patched helper: with a negative tolerance
+        # every closed form disagrees with the bounds solver.  Only the commands
+        # that print M, V(M) or m run the checks; preimage reads k alone.
+        monkeypatch.setattr(extrema, "ORACLE_TOL", -1.0)
+        for argv in (["analyze"], ["cantor", "--steps", "3"]):
+            rc, out, err = run(capsys, *argv, "--config", cfg("cantor_max"))
+            assert (rc, out) == (EXIT_INTERNAL, "")
+            assert json.loads(err)["error"] == "CertificationError"
+        rc, _, _ = run(capsys, "preimage", "--config", cfg("cantor_max"), "--y", "0.5")
+        assert rc == 0
+
     def test_wrong_moran_root_is_5(self, capsys, monkeypatch):
         # the Moran root kernel behind CantorSpec, maxima_set and moran_dimension
         root = extrema._moran_root
@@ -630,6 +642,15 @@ class TestPassThroughCommands:
         rc, out, _ = run(
             capsys, "preimage", "--config", cfg("cantor_max"), "--y", "0.5", "--format", "json",
         )
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["residual"] <= payload["residual_bound"]
+
+    def test_preimage_reads_k_unchecked(self, capsys, tmp_path):
+        # Two quotients 2e-12 apart put the regime digit k = 2 into V(M), so the
+        # closed forms fail their checks; the preimage reads k alone.
+        path = write_config(tmp_path, "q: [2/5, 2/5, 1/5]\ng: [1/2, 0.500000000001, -1e-12]\n")
+        rc, out, _ = run(capsys, "preimage", "--config", path, "--y", "0.5", "--format", "json")
         assert rc == 0
         payload = json.loads(out)
         assert payload["residual"] <= payload["residual_bound"]

@@ -115,6 +115,23 @@ WINDOWS = st.one_of(
     st.builds(lambda lo, e: (lo, lo + math.ldexp(1.0, -e)), WINDOW_ENDS, st.integers(47, 60)),
     st.just((0.0, 1.0)),  # _moran_window's fallback: plain bisection
 ).map(tuple).filter(lambda w: w[0] < w[1])
+# A near tie: delta_1 / (1 - g_1) exceeds delta_2 / (1 - g_2) = 1 by 2e-12, so the
+# LEVEL_TOL grouping takes k = 2 into V(M) and the closed forms fail their check
+# "k not in V".  The functions that read only k never run those checks.
+NEAR_TIE_CONFIG = SystemConfig(("2/5", "2/5", "1/5"), ("1/2", "0.500000000001", "-1e-12"), "near-tie")
+
+
+def count_builds(monkeypatch) -> list:
+    """Patch a counting spy onto the construction of ``extrema._closed_forms``' record."""
+    builds = []
+    real = extrema._ClosedForms
+
+    def spy(*fields):
+        builds.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(extrema, "_ClosedForms", spy)
+    return builds
 
 
 def covering_reference(system, k):
@@ -195,6 +212,88 @@ class TestClosedForms:
             assert 0 not in V and k not in V
             d, g = system.G.delta, system.G.g
             assert d[k - 1] / (1 - g[k - 1]) > d[k] / (1 - g[k])
+
+
+class TestDecisionRecord:
+    def test_every_function_reads_one_record(self, monkeypatch):
+        calls = (
+            closed_form_regime,
+            closed_form_max,
+            closed_form_min,
+            maxima_set,
+            lambda system: level_set(system, 2.0),
+            lambda system: preimage_digits(system, 0.5, 64),
+            lambda system: preimage_residual_bound(system, 64),
+            non_invariance_certificate,
+        )
+        want = [call(CANTOR_MAX) for call in calls]
+        builds = count_builds(monkeypatch)
+        system = SelfAffineSystem(CANTOR_MAX.Q, CANTOR_MAX.G)  # equal to CANTOR_MAX, nothing cached
+        assert [call(system) for call in calls] == want
+        assert len(builds) == 1 and want[0] == 3
+
+    def test_outside_the_regime_one_record_and_conditions_not_met(self, monkeypatch):
+        builds = count_builds(monkeypatch)
+        system = SelfAffineSystem(LEVEL_SETS.Q, LEVEL_SETS.G)
+        assert closed_form_regime(system) is None
+        for fn in (closed_form_max, closed_form_min, maxima_set, non_invariance_certificate):
+            with pytest.raises(ConditionsNotMet):
+                fn(system)
+        with pytest.raises(ConditionsNotMet):
+            preimage_digits(system, 0.5, 8)
+        with pytest.raises(ConditionsNotMet):
+            preimage_residual_bound(system, 8)
+        assert sorted(level_set(system, 0.625).V) == [1, 3]
+        assert len(builds) == 1 and builds[0][1:] == (None, None, None, None)
+
+    def test_build_analysis_decides_the_regime_once(self, monkeypatch):
+        # The regime is decided only where the record is built.
+        from qsaffine.cli import build_analysis
+
+        builds = count_builds(monkeypatch)
+        config = load_config(CONFIG_DIR / "cantor_max.cfg")
+        report = build_analysis(config, extrema.LEVEL_TOL, None)
+        assert report["predicates"]["closed_form_regime"] == 3
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "field, change, message",
+        [
+            ("M", lambda forms: forms.M + 1e-9, "closed-form maximum"),
+            ("V", lambda forms: forms.V | {0}, "cannot be maximum digits"),
+            ("m", lambda forms: -forms.M, r"\|m\| < M violated"),
+            ("m", lambda forms: forms.m - 1e-9, "closed-form minimum"),
+        ],
+    )
+    def test_checks_read_the_record(self, field, change, message):
+        # The checks run on whatever record the system holds: each planted fault
+        # trips its own check in the three functions that return closed forms,
+        # and the certificate, which reads only k, does not run them.
+        system = SelfAffineSystem(CANTOR_MAX.Q, CANTOR_MAX.G)
+        forms = extrema._closed_forms(system)
+        system.__dict__["_closed_forms"] = forms._replace(**{field: change(forms)})
+        for fn in (closed_form_max, closed_form_min, maxima_set):
+            with pytest.raises(CertificationError, match=message):
+                fn(system)
+        assert non_invariance_certificate(system) == non_invariance_certificate(CANTOR_MAX)
+
+    def test_exact_agreement_passes_at_zero_tolerance(self, monkeypatch):
+        # Both tolerances are inclusive.  On the bundled regime systems M and m equal
+        # the solver's bit for bit, and the maximum digits' quotients equal M, so
+        # with ORACLE_TOL and LEVEL_TOL at 0 every check passes and V(M) is whole.
+        monkeypatch.setattr(extrema, "ORACLE_TOL", 0.0)
+        monkeypatch.setattr(extrema, "LEVEL_TOL", 0.0)
+        for system, V in ((CANTOR_MAX, {1, 2}), (DEEP_MIN_S3, {1}), (ROUGH_S3, {1}), (SINGULAR_S3, {1})):
+            system = SelfAffineSystem(system.Q, system.G)  # its record is built at LEVEL_TOL 0
+            M, got = closed_form_max(system)
+            assert got == V and (M, closed_form_min(system)) == (system.bounds.M, system.bounds.m)
+
+    def test_near_tie_reads_k_unchecked(self):
+        system = NEAR_TIE_CONFIG.system()
+        assert closed_form_regime(system) == 2
+        assert "bounds" not in system.__dict__  # deciding the regime needs no solver
+        assert preimage_digits(system, 0.5, 8).to_text() == "1,(0)"
+        assert non_invariance_certificate(system).covering_proved
 
 
 class TestLevelSets:
@@ -677,7 +776,7 @@ class TestPreimage:
         # are those of a descent that clamps, and its value is evaluate's.
         rng = np.random.default_rng(30)
         systems = [random_regime_system(rng)[0] for _ in range(40)]
-        systems += [TIE_CLOSED, TIE_OPEN, SEAM, FALSE_REGIME, NEAR_CRITICAL]
+        systems += [TIE_CLOSED, TIE_OPEN, SEAM, FALSE_REGIME, NEAR_CRITICAL, NEAR_TIE_CONFIG.system()]
         for system in systems:
             k = closed_form_regime(system)
             delta, g = system.G.delta, system.G.g
@@ -745,7 +844,7 @@ class TestNonInvariance:
         assert len(systems) == 4
         rng = np.random.default_rng(21)
         systems += [random_regime_system(rng)[0] for _ in range(240)]
-        systems += [TIGHT, NEAR_CRITICAL, SEAM, FALSE_REGIME]
+        systems += [TIGHT, NEAR_CRITICAL, SEAM, FALSE_REGIME, NEAR_TIE_CONFIG.system()]
         for system in systems:
             k = closed_form_regime(system)
             proved, margin = covering_reference(system, k)

@@ -3,8 +3,8 @@
 Every type builds its fields once, validates them, and then refuses
 assignment and deletion; equal fields mean equal values with equal hashes; ``repr`` names
 the class.  ``SystemConfig`` compares its spellings and label only, not the
-doubles parsed from them, and ``SelfAffineSystem`` caches its bounds in its
-instance ``__dict__``.
+doubles parsed from them, and ``SelfAffineSystem`` caches its bounds and
+its closed-form decision record in its instance ``__dict__``.
 """
 
 import math
@@ -25,6 +25,7 @@ from qsaffine import (
     SystemConfig,
     ValidationError,
 )
+from qsaffine import extrema
 from qsaffine.codec import Frozen
 
 CANTOR_Q = (0.2, 0.4, 0.2, 0.2)
@@ -133,6 +134,15 @@ class TestSelfAffineSystem:
         # a computed cache changes neither equality nor hash
         fresh = SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G)
         assert system == fresh and hash(system) == hash(fresh)
+
+    def test_decision_record_is_cached_in_the_instance_dict(self):
+        system = SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G)
+        assert extrema.closed_form_regime(system) == 3
+        record = system.__dict__["_closed_forms"]
+        assert extrema._closed_forms(system) is record and "bounds" not in system.__dict__
+        # a computed record changes neither equality, hash nor repr
+        fresh = SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G)
+        assert system == fresh and hash(system) == hash(fresh) and repr(system) == repr(fresh)
 
     def test_logs_and_depth_are_cached(self):
         system = SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G)
