@@ -267,37 +267,33 @@ def variation_lower_bound(system: SelfAffineSystem, n: int) -> float:
         raise ValidationError(f"(sum |g|)^{n} = {base!r}^{n} overflows a double") from None
 
 
-def _extreme_descent(
-    system: SelfAffineSystem, maximize: bool, tol: float, cap: int
-) -> tuple[float, float]:
-    """Follow the child cylinder with the extreme attainable value.
+def _refined_extremes(
+    system: SelfAffineSystem, tol: float, cap: int
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Points of [0, 1] refined toward the maximum and the minimum: ``((x, f), (x, f))``.
 
     Over a cylinder with accumulated offset ``a`` and signed product ``p``
-    the function ranges over ``a + p*[m, M]`` exactly, so the child with the
-    largest upper (smallest lower) hull value always contains the global
-    maximum (minimum).  Descend until the hull width ``|p|*(M-m)`` drops
-    below ``tol`` and return that cylinder's left endpoint and exact value,
-    composing the maps of x and of f in the step that picks each digit.
+    the function ranges over ``a + p*[m, M]`` exactly, so the first child
+    with the largest upper hull value contains the global maximum, and the
+    first with the smallest lower hull value the global minimum.  Each
+    descent stops once the hull width ``|p|*(M-m)`` is at most ``tol`` (or
+    after ``cap`` digits) and gives that cylinder's left end and exact
+    value, composing the maps of x and of f in the step that picks a digit.
     """
     q, beta, g, delta = system.Q.q, system.Q.beta, system.G.g, system.G.delta
     b = system.bounds
-    hi, lo = (b.M, b.m) if maximize else (b.m, b.M)
-    sign = 1.0 if maximize else -1.0
-    x, qp, fa, gp = 0.0, 1.0, 0.0, 1.0
-    for _ in range(cap):
-        if abs(gp) * b.span <= tol:
-            break
-        best_dig = 0
-        best_val = -math.inf
-        for dig in range(system.s):
-            gp2 = gp * g[dig]
-            hull = sign * (fa + gp * delta[dig] + (gp2 * hi if gp2 > 0 else gp2 * lo))
-            if hull > best_val:
-                best_val = hull
-                best_dig = dig
-        x, qp = x + beta[best_dig] * qp, qp * q[best_dig]
-        fa, gp = fa + delta[best_dig] * gp, gp * g[best_dig]
-    return x, fa
+    ends: list[tuple[float, float]] = []
+    for pick, hi, lo in ((max, b.M, b.m), (min, b.m, b.M)):
+        x, qp, fa, gp = 0.0, 1.0, 0.0, 1.0
+        for _ in range(cap):
+            if abs(gp) * b.span <= tol:
+                break
+            hull = [fa + gp * d + (gp * gi) * (hi if gp * gi > 0 else lo) for d, gi in zip(delta, g)]
+            i = hull.index(pick(hull))
+            x, qp = x + beta[i] * qp, qp * q[i]
+            fa, gp = fa + delta[i] * gp, gp * g[i]
+        ends.append((x, fa))
+    return ends[0], ends[1]
 
 
 def _leaf_count(q, thresh: float, cap: int, limit: int) -> int:
@@ -395,11 +391,9 @@ def _sample_columns(
             fs.insert(i, f)
 
     add(1.0, 1.0)
-    tol = system.bounds.span / points
-    hi_x, hi_f = _extreme_descent(system, True, tol, cap)
+    (hi_x, hi_f), (lo_x, lo_f) = _refined_extremes(system, system.bounds.span / points, cap)
     if hi_f > max(fs):
         add(hi_x, hi_f)
-    lo_x, lo_f = _extreme_descent(system, False, tol, cap)
     if lo_f < min(fs):
         add(lo_x, lo_f)
     return xs, fs, [0.0] * len(xs)

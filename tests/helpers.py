@@ -284,6 +284,37 @@ def reference_leaves(system: SelfAffineSystem, points: int, depth: int | None = 
     return leaves
 
 
+def reference_extreme_descent(
+    system: SelfAffineSystem, maximize: bool, tol: float, cap: int
+) -> tuple[float, float]:
+    """One refined extreme of ``sample``, one direction per call, kept as an oracle.
+
+    From the root, step into the first child with the largest upper (smallest
+    lower) hull value ``a + p*[m, M]`` until the hull width ``|p|*(M-m)`` is at
+    most ``tol`` or ``cap`` digits are taken; return that cylinder's left end
+    and value.  The minimum runs as a maximum of the negated hull.
+    """
+    q, beta, g, delta = system.Q.q, system.Q.beta, system.G.g, system.G.delta
+    b = system.bounds
+    hi, lo = (b.M, b.m) if maximize else (b.m, b.M)
+    sign = 1.0 if maximize else -1.0
+    x, qp, fa, gp = 0.0, 1.0, 0.0, 1.0
+    for _ in range(cap):
+        if abs(gp) * b.span <= tol:
+            break
+        best_dig = 0
+        best_val = -math.inf
+        for dig in range(system.s):
+            gp2 = gp * g[dig]
+            hull = sign * (fa + gp * delta[dig] + (gp2 * hi if gp2 > 0 else gp2 * lo))
+            if hull > best_val:
+                best_val = hull
+                best_dig = dig
+        x, qp = x + beta[best_dig] * qp, qp * q[best_dig]
+        fa, gp = fa + delta[best_dig] * gp, gp * g[best_dig]
+    return x, fa
+
+
 def reference_sample(system: SelfAffineSystem, points: int, depth: int | None = None):
     """``selfaffine.sample`` written plainly over ``reference_leaves``, kept as an oracle.
 
@@ -291,7 +322,7 @@ def reference_sample(system: SelfAffineSystem, points: int, depth: int | None = 
     tie), then x = 1 and the refined extremes are added unless their x is
     taken, and the rows are sorted by x.
     """
-    from qsaffine.selfaffine import DEPTH_CAP, _extreme_descent
+    from qsaffine.selfaffine import DEPTH_CAP
 
     cap = DEPTH_CAP if depth is None else depth
     out: dict[float, float] = {}
@@ -299,10 +330,10 @@ def reference_sample(system: SelfAffineSystem, points: int, depth: int | None = 
         out.setdefault(x, fa)
     out.setdefault(1.0, 1.0)
     tol = system.bounds.span / points
-    hi_x, hi_f = _extreme_descent(system, True, tol, cap)
+    hi_x, hi_f = reference_extreme_descent(system, True, tol, cap)
     if hi_f > max(out.values()):
         out.setdefault(hi_x, hi_f)
-    lo_x, lo_f = _extreme_descent(system, False, tol, cap)
+    lo_x, lo_f = reference_extreme_descent(system, False, tol, cap)
     if lo_f < min(out.values()):
         out.setdefault(lo_x, lo_f)
     return [(x, f, 0.0) for x, f in sorted(out.items())]

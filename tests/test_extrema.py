@@ -81,6 +81,13 @@ TIE_CLOSED, TIE_OPEN = (
         (0.7666131799297081, 0.23338682007029174, 2.2994750829577327e-16),
     )
 )
+# g_0 = 9/16 + 3*2**-53 and g_2 = 1/4 - 2**-52, with g_1 = (1 - g_2)/4: seam 1
+# rounds its offset up by e_1 = -2**-54 and its overlap g_1 (L - 1) + e_1 is
+# exactly 0.  The images touch, so the covering holds, and the rounded L - 1
+# and -e_1 / g_1 tie: only the ints decide.
+TOUCH = make_system(
+    closing([1 / 5] * 5), closing((0.5625000000000003, 0.18750000000000006, 0.24999999999999978, -0.25, 1.0))
+)
 
 
 def stepwise_moran(weights, lo_c, hi_c):
@@ -844,7 +851,7 @@ class TestNonInvariance:
         assert len(systems) == 4
         rng = np.random.default_rng(21)
         systems += [random_regime_system(rng)[0] for _ in range(240)]
-        systems += [TIGHT, NEAR_CRITICAL, SEAM, FALSE_REGIME, NEAR_TIE_CONFIG.system()]
+        systems += [TIGHT, NEAR_CRITICAL, SEAM, FALSE_REGIME, TOUCH, NEAR_TIE_CONFIG.system()]
         for system in systems:
             k = closed_form_regime(system)
             proved, margin = covering_reference(system, k)
@@ -924,13 +931,17 @@ class TestNonInvariance:
             assert extrema._covering(system, k) == (proved, float(margin)) and proved == closes
 
     def test_seams_tied_in_floats_are_decided_exactly(self):
-        # Reading the tie from the rounded values, either way round, gets one wrong.
-        for system, closes in ((TIE_CLOSED, True), (TIE_OPEN, False)):
+        # Reading the tie from the rounded values, either way round, gets one wrong;
+        # an overlap of exactly 0 (TOUCH) closes the seam.
+        for system, overlap_sign in ((TIE_CLOSED, 1), (TOUCH, 0), (TIE_OPEN, -1)):
             k = closed_form_regime(system)
             g, delta = system.G.g, system.G.delta
             e = Fraction(delta[1]) + Fraction(g[1]) - Fraction(delta[2])
             proved, margin = covering_reference(system, k)
             assert k == 3 and e < 0 and float(margin) == float(-e / Fraction(g[1]))
+            overlap = Fraction(g[1]) * margin + e
+            assert (overlap > 0) - (overlap < 0) == overlap_sign
+            closes = overlap_sign >= 0
             assert proved == closes
             assert extrema._covering(system, k) == (proved, float(margin))
             assert non_invariance_certificate(system).covering_proved == closes

@@ -35,6 +35,7 @@ from helpers import (
     random_admissible_system,
     random_regime_system,
     reference_bounds,
+    reference_extreme_descent,
     reference_leaves,
     reference_sample,
 )
@@ -460,6 +461,36 @@ class TestSample:
         system = random_admissible_system(np.random.default_rng(seed))
         rows = sample(system, points, depth)
         assert self.bits(rows) == self.bits(reference_sample(system, points, depth))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g_abs_max=st.sampled_from((0.8, 0.99)),
+        points=st.sampled_from((2, 64, 4096)),
+        depth=st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_refined_extremes_match_one_direction_descents(self, seed, g_abs_max, points, depth):
+        # Both extremes from the two-sided descent, bit for bit those of one call per direction.
+        system = random_admissible_system(np.random.default_rng(seed), g_abs_max=g_abs_max)
+        tol, cap = system.bounds.span / points, selfaffine.DEPTH_CAP if depth is None else depth
+        got = selfaffine._refined_extremes(system, tol, cap)
+        want = (
+            reference_extreme_descent(system, True, tol, cap),
+            reference_extreme_descent(system, False, tol, cap),
+        )
+        assert struct.pack("<dddd", *got[0], *got[1]) == struct.pack("<dddd", *want[0], *want[1])
+
+    @pytest.mark.parametrize(
+        "g, points",
+        [
+            ((0.75, 0.5625, 0.5, -0.8125), 4),  # the maximum's descent ends at |p|(M - m) = tol
+            ((0.3125, 0.6875, 0.3125, -0.3125), 4),  # the refined maximum ties the grid's at a new x
+            ((-0.3125, 0.125, 0.5, 0.6875), 16),  # the refined minimum ties the grid's at a new x
+        ],
+    )
+    def test_dyadic_ties_match_reference(self, g, points):
+        # Dyadic ratios meet the descent's stop test and the insertion guards with equality.
+        system = SelfAffineSystem.from_values((0.25,) * 4, g)
+        assert self.bits(sample(system, points)) == self.bits(reference_sample(system, points))
 
     @pytest.mark.parametrize(
         "q, points, depth",
