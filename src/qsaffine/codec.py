@@ -226,6 +226,7 @@ class DigitString(Frozen):
 
     @classmethod
     def from_text(cls, text: str, s: int) -> "DigitString":
+        """Parse ``"1,3,(0,2)"``: each digit is ASCII decimal digits, spaces around it allowed."""
         text = text.strip()
         head, paren, tail = text.partition("(")
         if paren:
@@ -240,12 +241,15 @@ class DigitString(Frozen):
                 raise ValidationError(f"malformed digit string {text!r}")
             if head.endswith(",") and head[:-1].rstrip()[-1:].isdigit():
                 head = head[:-1]  # the one comma between the prefix and the period
-        try:
-            prefix = tuple(int(t) for t in head.split(",")) if head else ()
-            period = tuple(int(t) for t in body.split(",")) if paren else None
-        except ValueError as exc:
-            raise ValidationError(f"malformed digit string {text!r}") from exc
-        return cls(prefix, period, s)
+
+        def digits(part: str) -> tuple[int, ...]:
+            tokens = [t.strip() for t in part.split(",")]
+            # int() alone would also take "+1", "-0", "1_0" and non-ASCII digits
+            if not all(t.isascii() and t.isdigit() for t in tokens):
+                raise ValidationError(f"malformed digit string {text!r}")
+            return tuple(map(int, tokens))
+
+        return cls(digits(head) if head else (), digits(body) if paren else None, s)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()

@@ -153,9 +153,12 @@ def _fixed_point_bounds(system: SelfAffineSystem) -> BoundsPair:
     attained pair ``(M, m) = (1, 0)``, each round re-picks a and b from the
     hull at the current pair, switching a choice only when another digit
     beats it by more than rounding (half the allowance below), until the
-    policy is stable.  Written for ``(M, -m)`` this is a discounted
-    decision problem with rate ``max|g| < 1`` (Howard 1960), so the values
-    rise strictly and no policy repeats: at most ``s**2`` steps.
+    policy is stable.  A round is one pass over the digits in digit order:
+    it picks the first digit with the largest upper (smallest lower) value
+    and reads the values of a and b (there are none before the first
+    policy).  Written for ``(M, -m)`` this is a discounted decision problem
+    with rate ``max|g| < 1`` (Howard 1960), so the values rise strictly and
+    no policy repeats: at most ``s**2`` steps.
 
     With ``C = max(1, max|delta|, M - m)``, one hull step at the returned
     pair moves it by ``step <= 8*eps*C`` and the exact fixed point lies
@@ -169,12 +172,23 @@ def _fixed_point_bounds(system: SelfAffineSystem) -> BoundsPair:
     a = b = -1
     steps = 0
     while True:
-        up = [d + gi * M if gi > 0 else d + gi * m for d, gi in pairs]
-        lo = [d + gi * m if gi > 0 else d + gi * M for d, gi in pairs]
+        top, bottom = -math.inf, math.inf
+        for i, (d, gi) in enumerate(pairs):
+            if gi > 0:
+                u, lo = d + gi * M, d + gi * m
+            else:
+                u, lo = d + gi * m, d + gi * M
+            if u > top:
+                top, hi_i = u, i
+            if lo < bottom:
+                bottom, lo_i = lo, i
+            if i == a:
+                up_a = u
+            if i == b:
+                lo_b = lo
         allowance = 8.0 * EPS * max(scale, M - m)
-        top, bottom = max(up), min(lo)
-        new_a = a if a >= 0 and top <= up[a] + allowance / 2 else up.index(top)
-        new_b = b if b >= 0 and bottom >= lo[b] - allowance / 2 else lo.index(bottom)
+        new_a = a if a >= 0 and top <= up_a + allowance / 2 else hi_i
+        new_b = b if b >= 0 and bottom >= lo_b - allowance / 2 else lo_i
         if new_a == a and new_b == b:
             break
         steps += 1

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -333,6 +334,12 @@ class TestExitCodes:
             # A period needs the comma before it.
             (["eval", "--digits", "1(2)"], "ValidationError", "cantor_max"),
             (["eval", "--digits", "1,2(3)"], "ValidationError", "cantor_max"),
+            # Each digit is ASCII decimal digits: int() alone would take all of these.
+            (["eval", "--digits", "+1"], "ValidationError", "cantor_max"),
+            (["eval", "--digits", "(-0)"], "ValidationError", "cantor_max"),
+            (["eval", "--digits", "1_0"], "ValidationError", "cantor_max"),
+            (["eval", "--digits", "(\u0663)"], "ValidationError", "cantor_max"),
+            (["eval", "--digits", "\uff11,(2)"], "ValidationError", "cantor_max"),
             (["holder", "--nu", "x,y,z"], "ValidationError", "cantor_max"),
             (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError", "cantor_max"),
             (["level", "--y", "nan"], "ValidationError", "cantor_max"),
@@ -350,7 +357,8 @@ class TestExitCodes:
         ids=[
             "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "ranks-reversed",
             "empty-digit-before-period", "blank-digit-before-period", "empty-first-digit",
-            "period-without-comma", "period-without-comma-after-prefix", "nu-not-numbers",
+            "period-without-comma", "period-without-comma-after-prefix", "digit-plus-sign",
+            "digit-minus-zero", "digit-underscore", "digit-arabic-indic", "digit-fullwidth", "nu-not-numbers",
             "nu-nan", "level-y-nan", "level-y-inf", "level-tolerance-inf", "sample-depth-0", "sample-depth-negative",
             "analyze-depth-0", "analyze-depth-negative", "variation-overflow-rough",
             "variation-overflow-cantor",
@@ -391,6 +399,25 @@ class TestExitCodes:
         assert rc == EXIT_INTERNAL == 5
         assert out == ""
         assert json.loads(err)["error"] == "CertificationError"
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # the arg-max digit of rough_s3 flips between 1 and 2 with every solve
+            ([(1e6, 0.0), (1.0, -1e6)], "bounds policy iteration exceeded 9 steps"),
+            # (1, 0) is stable under the policy it picks but is not the hull's fixed point
+            ([(1.0, 0.0)], "bounds (0.0, 1.0) move by 0.33333333333333326 under one hull step, above "),
+        ],
+        ids=["policy-keeps-switching", "pair-off-the-fixed-point"],
+    )
+    def test_bounds_solver_failure_is_5(self, capsys, monkeypatch, pairs, message):
+        # Both checks of the bounds solver, reached through a broken policy solve.
+        solves = itertools.cycle(pairs)
+        monkeypatch.setattr(selfaffine, "_policy_value", lambda delta, g, a, b: next(solves))
+        rc, out, err = run(capsys, "analyze", "--config", cfg("rough_s3"))
+        diag = json.loads(err)
+        assert (rc, out, diag["error"]) == (5, "", "CertificationError")
+        assert diag["message"].startswith(message)
 
     def test_failing_cross_check_is_5(self, capsys, monkeypatch):
         # The real checks reader, not a patched helper: with a negative tolerance

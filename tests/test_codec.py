@@ -183,6 +183,14 @@ class TestCanonicalForm:
             with pytest.raises(ValidationError, match="malformed digit string"):
                 DigitString.from_text(text, 4)
 
+    def test_digits_are_ascii_decimals(self):
+        # int() alone would read these as 1, 0, 10, 3 and 1
+        for text in ("+1", "-0", "1_0", "\u0663", "\uff11", "1,(+2)", "(1_0)", "2,\u0663,(1)"):
+            with pytest.raises(ValidationError, match="malformed digit string"):
+                DigitString.from_text(text, 12)
+        assert DigitString.from_text(" 1 , 2 ", 4) == DigitString((1, 2), None, 4)
+        assert DigitString.from_text(" ( 2 ) ", 4) == DigitString((), (2,), 4)
+
     def test_period_needs_its_parentheses_and_a_digit(self):
         for text in ("1,(2", "(2"):
             message = f"^unbalanced period parenthesis in {re.escape(repr(text))}$"

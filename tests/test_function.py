@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -306,8 +307,6 @@ class TestVariation:
 
     def test_matches_bruteforce_cylinder_sum(self):
         # oracle: sum of |prod g| over all rank-n digit words
-        import itertools
-
         for system in (CANTOR_MAX, DEEP_MIN_S3):
             for n in (1, 2, 3):
                 total = math.fsum(
@@ -382,6 +381,49 @@ class TestGlobalBounds:
         for system in self.solver_cases():
             b = selfaffine._fixed_point_bounds(system)
             assert (b.m, b.M, b.iterations, b.residual) == reference_bounds(system), system.G.g
+
+    @staticmethod
+    def eighths_systems():
+        """Uniform weights, ratios in eighths: the 1253 systems of 3 and 4 digits, rich in exact hull ties."""
+        numerators = [k for k in range(-7, 8) if k]
+        for s in (3, 4):
+            for ks in itertools.product(numerators, repeat=s):
+                if sum(ks) == 8:
+                    yield SelfAffineSystem.from_values((1 / s,) * s, [k / 8 for k in ks])
+
+    def test_exact_hull_ties_same_bits_as_the_reference_solver(self):
+        # Each round takes the first of the tied digits; taking the last one
+        # solves (g_1, g_2) = (7/8, 7/8) below in 2 steps, not 3.
+        tied = SelfAffineSystem.from_values((1 / 3,) * 3, (-3 / 4, 7 / 8, 7 / 8))
+        assert reference_bounds(tied)[:3] == (-6.0, 4.5, 3)
+        # The arg-min digit 0 is kept though digit 1's lower value rounds below
+        # it by less than half the allowance: 1 step, not 2.
+        kept = SelfAffineSystem.from_values((1 / 4,) * 4, (0.2, -0.2, 0.2, 0.8))
+        assert reference_bounds(kept)[:3] == (0.0, 1.0000000000000002, 1)
+        for system in (tied, kept, *self.eighths_systems()):
+            b = selfaffine._fixed_point_bounds(system)
+            assert (b.m, b.M, b.iterations, b.residual) == reference_bounds(system), system.G.g
+
+    def test_zero_allowance_same_bits_as_the_reference_solver(self, monkeypatch):
+        # With EPS = 0 the keep rule and the final check sit on their boundaries:
+        # a policy digit tied with an earlier digit is kept, and a step of 0
+        # passes.  Each of these dyadic systems still settles with a step of 0.
+        # The sixteenths system keeps its arg-min digit 3, which digit 1 ties at m = -1.
+        monkeypatch.setattr(selfaffine, "EPS", 0.0)
+        sixteenths = SelfAffineSystem.from_values((1 / 4,) * 4, (-3 / 16, 13 / 16, 14 / 16, -8 / 16))
+        for system in (sixteenths, *self.eighths_systems()):
+            b = selfaffine._fixed_point_bounds(system)
+            assert (b.m, b.M, b.iterations, b.residual) == reference_bounds(system), system.G.g
+
+    def test_s_squared_steps_are_allowed(self, monkeypatch):
+        # Seven switching solves, then true ones: rough_s3 settles after exactly
+        # s**2 = 9 steps, the cap, at its own bounds.
+        m, M = reference_bounds(ROUGH_S3)[:2]
+        solve = selfaffine._policy_value
+        switches = iter([(1e6, 0.0), (1.0, -1e6)] * 3 + [(1e6, 0.0)])
+        monkeypatch.setattr(selfaffine, "_policy_value", lambda *args: next(switches, None) or solve(*args))
+        b = selfaffine._fixed_point_bounds(ROUGH_S3)
+        assert (b.m, b.M, b.iterations) == (m, M, 9)
 
     def test_policy_steps_at_most_s_squared(self):
         for system in self.solver_cases():
