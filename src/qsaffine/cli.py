@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from collections.abc import Callable, Iterator
 
@@ -221,7 +222,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
             "g_values": list(system.G.g),
         },
         "predicates": {
-            "monotone": all(v > 0 for v in g),
+            "monotone": min(g) > 0.0,
             "singular": singular,
             "nowhere_differentiable": holder.nowhere_differentiable_predicate(system),
             "closed_form_regime": k,
@@ -396,11 +397,10 @@ def _cmd_holder(args, config: SystemConfig, fmt: str) -> str:
             raise ValidationError(f"--nu must be comma-separated numbers; got {args.nu!r}") from exc
         report = holder.local_exponent_unary(system, FrequencyVector(nu, n=0, exact=True))
     elif args.digits is not None:
-        lo, _, hi = args.ranks.partition(":")
-        try:
-            first, last = int(lo), int(hi)
-        except ValueError as exc:
-            raise ValidationError(f"--ranks must be A:B with integers; got {args.ranks!r}") from exc
+        # ASCII digits after an optional "-": int() alone would also take "+1", "1_0", " 1", "٣"
+        if not re.fullmatch(r"-?[0-9]+:-?[0-9]+", args.ranks):
+            raise ValidationError(f"--ranks must be A:B with integers; got {args.ranks!r}")
+        first, last = map(int, args.ranks.split(":"))
         if first < 1 or last > MAX_DEPTH:  # checked before the library lists every rank
             raise ValidationError(
                 f"--ranks A:B needs A >= 1 and B at most the cap of {MAX_DEPTH}; got {args.ranks!r}"

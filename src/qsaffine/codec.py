@@ -22,7 +22,8 @@ check (``check_count``), the heads and digit frequencies of a
 ``DigitString``, and the bookkeeping for points with two expansions (a
 terminating one and its twin).  Digits are checked once, where they
 enter: at the public ``DigitString`` constructor and at the one digit
-``prepend`` adds.  ``Frozen`` is the base of the package's value types.
+``prepend`` adds.  ``Frozen`` is the base of the package's value types,
+and ``cached`` keeps the values one of them computes on first use.
 """
 
 from __future__ import annotations
@@ -110,6 +111,32 @@ class Frozen:
     def __repr__(self):
         fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
         return f"{type(self).__name__}({fields})"
+
+
+class cached:
+    """A value of a ``Frozen`` instance computed on first use and kept in its ``__dict__``.
+
+    A non-data descriptor: its first read stores the value under the same
+    name in the instance ``__dict__``, which every later read finds first.
+    The value is not a field, so it takes no part in ``==``, ``hash`` or
+    ``repr``.  There is no lock (``functools.cached_property`` takes one
+    on every first read before Python 3.12): two threads racing on a first
+    read may both compute the value, and both store the same deterministic
+    value.  Read on the class, it is the descriptor, with the function's
+    docstring.
+    """
+
+    def __init__(self, func) -> None:
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class StochasticVector(Frozen):

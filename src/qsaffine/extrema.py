@@ -367,20 +367,25 @@ def level_set(system: SelfAffineSystem, y: float, tol: float = LEVEL_TOL) -> Lev
 
 def _level_rows(quotients: tuple[float, ...], tol: float) -> list[tuple[float, list[int]]]:
     """``(y, digits)`` per level by ascending y: the digits of ``level_set`` at y that no
-    earlier level holds, from one walk over the sorted ``(quotient, digit)`` pairs.
+    earlier level holds, from one walk over the digits sorted by quotient.
 
-    A level starts at the first unplaced value y, so every lower value is
-    placed, and takes each next pair while ``v - y <= tol``: ``fl(v - y)``
-    never falls as v grows, so it takes every unplaced i with
+    The sort is stable, so it keeps the order of the ``(quotient, digit)``
+    pairs.  A level starts at the first unplaced value y, so every lower
+    value is placed, and takes each next digit while ``v - y <= tol``:
+    ``fl(v - y)`` never falls as v grows, so it takes every unplaced i with
     ``|quotients[i] - y| <= tol``.
     """
     rows: list[tuple[float, list[int]]] = []
-    for v, i in sorted(zip(quotients, range(len(quotients)))):
+    for i in sorted(range(len(quotients)), key=quotients.__getitem__):
+        v = quotients[i]
         if rows and v - rows[-1][0] <= tol:
             rows[-1][1].append(i)
         else:
             rows.append((v, [i]))
-    return [(y, sorted(digits)) for y, digits in rows]
+    for _, digits in rows:
+        if len(digits) > 1:
+            digits.sort()
+    return rows
 
 
 def level_witness(system: SelfAffineSystem, V, leading_zeros: int = 0) -> DigitString:

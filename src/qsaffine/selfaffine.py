@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property
 from itertools import islice
 from operator import lt
 from typing import NamedTuple
 
 from .codec import (
-    EPS, DigitString, Frozen, StochasticVector, check_alphabet, check_count, encode, running_sums, string_sum,
-    unwalk_into,
+    EPS, DigitString, Frozen, StochasticVector, cached, check_alphabet, check_count, encode, running_sums,
+    string_sum, unwalk_into,
 )
 from .errors import CertificationError, ValidationError
 
@@ -77,8 +76,12 @@ class SelfAffineSystem(Frozen):
     """A validated (weights, ratios) pair defining one function.
 
     ``bounds``, ``logs`` and ``default_depth`` are computed on first use and
-    cached in the instance ``__dict__``, as is the decision record of
-    ``extrema._closed_forms`` under that name; they take no part in equality.
+    kept under their names in the instance ``__dict__`` by ``codec.cached``,
+    as is the decision record of ``extrema._closed_forms`` under that name;
+    they take no part in equality, hash or repr.  The cache has no lock: two
+    threads racing on a first use may both compute a value, and both store
+    the same deterministic value, as with ``functools.cached_property`` on
+    Python 3.12 and later.
     """
 
     _fields = ("Q", "G")
@@ -92,22 +95,23 @@ class SelfAffineSystem(Frozen):
 
     @classmethod
     def from_values(cls, q, g) -> "SelfAffineSystem":
-        return cls(StochasticVector(tuple(q)), AffineCoefficients(tuple(g)))
+        return cls(StochasticVector(q), AffineCoefficients(g))
 
     @property
     def s(self) -> int:
         return self.Q.s
 
-    @cached_property
+    @cached
     def bounds(self) -> BoundsPair:
+        """Certified global bounds ``m <= f <= M``, from ``_fixed_point_bounds``."""
         return _fixed_point_bounds(self)
 
-    @cached_property
+    @cached
     def logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """``(ln q_i, ln|g_i|)`` per digit, taken once for the Hölder exponents."""
         return tuple(map(math.log, self.Q.q)), tuple(map(math.log, map(abs, self.G.g)))
 
-    @cached_property
+    @cached
     def default_depth(self) -> int:
         """The most digits ``evaluate_at`` walks; ``encode`` and the residual walk this many.
 

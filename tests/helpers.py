@@ -260,6 +260,18 @@ def reference_bounds(system: SelfAffineSystem) -> tuple[float, float, int, float
     return m, M, steps, (step + allowance) / (1.0 - gmax)
 
 
+def reference_level_rows(quotients, tol: float) -> list[tuple[float, list[int]]]:
+    """``extrema._level_rows`` written as it was before its one sort, kept as an oracle:
+    a sort of the ``(quotient, digit)`` pairs, and each row's digits sorted into a new list."""
+    rows: list[tuple[float, list[int]]] = []
+    for v, i in sorted(zip(quotients, range(len(quotients)))):
+        if rows and v - rows[-1][0] <= tol:
+            rows[-1][1].append(i)
+        else:
+            rows.append((v, [i]))
+    return [(y, sorted(digits)) for y, digits in rows]
+
+
 def reference_leaves(system: SelfAffineSystem, points: int, depth: int | None = None):
     """Left ends and values ``[(x, f)]`` of the cylinders ``sample`` stops at, in digit order.
 

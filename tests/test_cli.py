@@ -327,6 +327,10 @@ class TestExitCodes:
             (["eval", "--digits", "(a)"], "ValidationError", "cantor_max"),
             (["holder", "--digits", "(1)", "--ranks", "a:b"], "ValidationError", "cantor_max"),
             (["holder", "--digits", "(1,2)", "--ranks", "5:3"], "ValidationError", "cantor_max"),
+            # Each end is ASCII digits after an optional "-": int() alone would take these.
+            (["holder", "--digits", "(1,2)", "--ranks", "1_0:2_0"], "ValidationError", "cantor_max"),
+            (["holder", "--digits", "(1,2)", "--ranks", "+1:5"], "ValidationError", "cantor_max"),
+            (["holder", "--digits", "(1,2)", "--ranks", "\u0663:5"], "ValidationError", "cantor_max"),
             # An empty digit before the period is malformed, as it is anywhere else.
             (["eval", "--digits", "1,,(2)"], "ValidationError", "cantor_max"),
             (["eval", "--digits", "1, ,(2)"], "ValidationError", "cantor_max"),
@@ -356,6 +360,7 @@ class TestExitCodes:
         ],
         ids=[
             "digit-outside-alphabet", "period-not-a-number", "ranks-not-numbers", "ranks-reversed",
+            "ranks-underscore", "ranks-plus-sign", "ranks-arabic-indic",
             "empty-digit-before-period", "blank-digit-before-period", "empty-first-digit",
             "period-without-comma", "period-without-comma-after-prefix", "digit-plus-sign",
             "digit-minus-zero", "digit-underscore", "digit-arabic-indic", "digit-fullwidth", "nu-not-numbers",
@@ -903,6 +908,15 @@ class TestDepthCap:
             assert diag["error"] == "ValidationError" and "cap of 65536" in diag["message"]
         rc, _, _ = run(capsys, *argv, "--ranks", f"1:{MAX_DEPTH}")
         assert rc == 0 and called == [range(1, MAX_DEPTH + 1)]
+
+    def test_ranks_are_ascii_integers(self, capsys):
+        argv = ["holder", "--config", cfg("cantor_max"), "--digits", "(1,2)"]
+        for ranks in ("1_0:2_0", "+1:5", "\u0663:5", " 1:5", "1:5 ", "-:5", "--1:5", "1:5:7", "1", ":"):
+            rc, out, err = run(capsys, *argv, f"--ranks={ranks}")
+            assert (rc, out) == (2, "")
+            assert json.loads(err)["message"] == f"--ranks must be A:B with integers; got {ranks!r}"
+        rc, out, _ = run(capsys, *argv, "--ranks=2:5")
+        assert rc == 0 and out
 
     def test_points_above_cap_is_2_before_the_walk(self, capsys, monkeypatch):
         walked = []

@@ -95,6 +95,27 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make(values)
 
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0])
+    @pytest.mark.parametrize(
+        "make, name, rule", [(StochasticVector, "q", "0 < q < 1"), (AffineCoefficients, "g", "0 < |g| < 1")]
+    )
+    def test_each_inadmissible_value_is_named_at_its_first_index(self, make, name, rule, bad, position):
+        # a second bad entry after the first: the message names the first
+        values = [0.2] * 5
+        values[position] = bad
+        if position < 4:
+            values[4] = 2.0
+        message = f"{name}[{position}] = {bad!r} must satisfy {rule}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(values)
+
+    def test_the_least_subnormal_weight_is_admissible(self):
+        # the CI tiny-weights config: q = (1/2, 5e-324, 5e-324, 1/2)
+        Q = StochasticVector((0.5, 5e-324, 5e-324, 0.5))
+        assert Q.q == (0.5, 5e-324, 5e-324, 0.5) and Q.beta == (0.0, 0.5, 0.5, 0.5)
+        assert AffineCoefficients((0.5, 5e-324, 0.5 - 5e-324)).g[1] == 5e-324
+
     def test_rejects_a_single_weight(self):
         with pytest.raises(ValidationError, match="alphabet size must be at least 2"):
             StochasticVector((0.5,))

@@ -53,6 +53,7 @@ from helpers import (
     closing,
     random_regime_system,
     random_weights,
+    reference_level_rows,
     reference_moran,
     reference_preimage,
     system as make_system,
@@ -355,6 +356,36 @@ class TestLevelSets:
                 period = tuple(rng.choice(V, size=rng.integers(1, 5)))
                 d = DigitString(prefix, period, system.s)
                 assert evaluate(system, d).value == pytest.approx(y, abs=1e-10)
+
+
+TOL = extrema.LEVEL_TOL
+
+
+@st.composite
+def near_tie_quotients(draw):
+    """Quotient tuples of 2 to 9 digits in clusters: exact ties, and values one ulp
+    either side of ``fl(v - y) = tol`` from an anchor y, at tolerance 0 or ``LEVEL_TOL``."""
+    tol = draw(st.sampled_from((0.0, TOL)))
+    anchor = st.one_of(st.sampled_from((0.625, 2.0)), st.floats(-3.0, 3.0))
+    anchors = [0.0, -0.0, *draw(st.lists(anchor, min_size=1, max_size=3))]  # ties of 0.0 and -0.0
+    quotients = []
+    for _ in range(draw(st.integers(2, 9))):
+        v, offset = draw(st.sampled_from(anchors)), draw(st.sampled_from((0.0, tol, -tol, 2 * tol)))
+        if offset:  # -0.0 + 0.0 would be 0.0
+            v += offset
+        ulp = draw(st.sampled_from((0, 1, -1)))
+        quotients.append(math.nextafter(v, ulp * math.inf) if ulp else v)
+    return tuple(quotients), tol
+
+
+class TestLevelRows:
+    @given(case=near_tie_quotients())
+    @example(case=((0.625, 0.6249999999999999, 0.625, 0.0), 0.0))
+    @example(case=((1.0, 1.0 + TOL, 1.0, math.nextafter(1.0 + TOL, 2.0), -0.0, 0.0), TOL))
+    def test_rows_match_the_reference(self, case):
+        # repr tells -0.0 from 0.0: rows, their order and the digits in each match exactly
+        quotients, tol = case
+        assert repr(extrema._level_rows(quotients, tol)) == repr(reference_level_rows(quotients, tol))
 
 
 class TestDerivedLevels:

@@ -25,8 +25,8 @@ from qsaffine import (
     SystemConfig,
     ValidationError,
 )
-from qsaffine import extrema
-from qsaffine.codec import Frozen
+from qsaffine import extrema, selfaffine
+from qsaffine.codec import Frozen, cached
 
 CANTOR_Q = (0.2, 0.4, 0.2, 0.2)
 CANTOR_G = (0.4, 0.8, 0.4, -0.6)
@@ -148,6 +148,51 @@ class TestSelfAffineSystem:
         system = SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G)
         assert system.logs is system.logs
         assert system.default_depth == system.__dict__["default_depth"]
+
+    @pytest.mark.parametrize("name", ["bounds", "logs", "default_depth"])
+    def test_each_cached_value_is_computed_once(self, monkeypatch, name):
+        calls = {"solver": 0, name: 0}
+        solve = selfaffine._fixed_point_bounds
+        compute = SelfAffineSystem.__dict__[name].func
+
+        def counted_solve(system):
+            calls["solver"] += 1
+            return solve(system)
+
+        def counted_compute(system):
+            calls[name] += 1
+            return compute(system)
+
+        monkeypatch.setattr(selfaffine, "_fixed_point_bounds", counted_solve)
+        monkeypatch.setattr(SelfAffineSystem.__dict__[name], "func", counted_compute)
+        system = SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G)
+        first = getattr(system, name)
+        assert system.__dict__[name] is first
+        for _ in range(3):
+            assert getattr(system, name) is first
+        system.default_depth, system.bounds  # the depth reads the bounds
+        assert calls == {"solver": 1, name: 1}
+        # a second instance computes its own
+        assert getattr(SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G), name) == first
+        assert calls == {"solver": 1 + (name != "logs"), name: 2}
+
+    def test_cached_values_are_not_fields(self):
+        system = SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G)
+        fresh = SelfAffineSystem.from_values(CANTOR_Q, CANTOR_G)
+        system.bounds, system.logs, system.default_depth
+        assert {"bounds", "logs", "default_depth"} <= system.__dict__.keys()
+        assert system == fresh and hash(system) == hash(fresh) and repr(system) == repr(fresh)
+        assert "bounds" not in repr(system) and SelfAffineSystem._fields == ("Q", "G")
+        with pytest.raises(AttributeError, match="cannot assign to field 'bounds'"):
+            system.bounds = None
+
+    def test_cached_values_keep_their_docstrings(self):
+        for name, phrase in (
+            ("bounds", "_fixed_point_bounds"), ("logs", "ln q_i"), ("default_depth", "DEPTH_TARGET")
+        ):
+            descriptor = getattr(SelfAffineSystem, name)
+            assert isinstance(descriptor, cached) and phrase in descriptor.__doc__
+            assert descriptor.__doc__ == descriptor.func.__doc__
 
 
 class TestChecks:
