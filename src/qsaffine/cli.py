@@ -15,6 +15,7 @@ stdout early (``| head``) is not a failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -46,6 +47,26 @@ BLOCK_ROWS = 1024
 
 TEXT = ("text", "json")
 PLOT = ("csv", "svg")
+#: An integer argument: ASCII digits after an optional "-".  int() alone would also
+#: take "+3", "1_0", " 3" and non-ASCII digits such as "٣"; a negative value is left
+#: to the library's own check.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The value of ``--depth``, ``--points``, ``--steps`` and ``--rank`` (an argparse ``type``)."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits after an optional '-'; got {text!r}")
+    return int(text)
+
+
+def _number(text: str) -> float:
+    """The value of ``--x``, ``--y``, ``--tolerance`` and each ``--nu`` token: what
+    ``float()`` takes, but only in ASCII and without ``_`` ("1_0", "٠.٥" and "１" fail)."""
+    if text.isascii() and "_" not in text:
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise argparse.ArgumentTypeError(f"expected a number; got {text!r}")
 
 
 def _f(v: float) -> str:
@@ -77,10 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     base.add_argument("--format", choices=("json", "text", "csv", "svg"), default=None)
     base.add_argument("--out", default=None, help="output path (default stdout)")
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=None, help="digit depth")
+    depth.add_argument("--depth", type=_integer, default=None, help="digit depth")
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument(
-        "--tolerance", type=float, default=extrema.LEVEL_TOL, help="level membership tolerance"
+        "--tolerance", type=_number, default=extrema.LEVEL_TOL, help="level membership tolerance"
     )
 
     p = argparse.ArgumentParser(prog="qsaffine", description=__doc__)
@@ -99,14 +120,14 @@ def _build_parser() -> argparse.ArgumentParser:
     command("analyze", _cmd_analyze, TEXT, "full report for one system", depth, tolerance)
 
     sp = command("sample", _cmd_sample, PLOT, "graph samples of f", depth)
-    sp.add_argument("--points", type=int, required=True)
+    sp.add_argument("--points", type=_integer, required=True)
 
     cp = command("cantor", _cmd_cantor, PLOT, "maximum-set construction stages")
-    cp.add_argument("--steps", type=int, required=True)
+    cp.add_argument("--steps", type=_integer, required=True)
     cp.add_argument("--merged", action="store_true", help="join touching intervals")
 
     ep = command("encode", _cmd_encode, TEXT, "digits of a point", depth)
-    ep.add_argument("--x", type=float, required=True)
+    ep.add_argument("--x", type=_number, required=True)
 
     dp = command("decode", _cmd_decode, TEXT, "point of a digit string")
     dp.add_argument("--digits", required=True, help='e.g. "1,3,(0,2)"')
@@ -119,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     group = vp.add_mutually_exclusive_group(required=True)
     group.add_argument("--digits", help='e.g. "(2)"')
-    group.add_argument("--x", type=float)
+    group.add_argument("--x", type=_number)
 
     hp = command("holder", _cmd_holder, TEXT, "regularity exponents")
     kind = hp.add_mutually_exclusive_group()
@@ -130,13 +151,13 @@ def _build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--ranks", default="1:64", help="A:B rank range for --digits")
 
     lp = command("level", _cmd_level, TEXT, "level-set digits of y", tolerance)
-    lp.add_argument("--y", type=float, required=True)
+    lp.add_argument("--y", type=_number, required=True)
 
     pp = command("preimage", _cmd_preimage, TEXT, "preimage digits of y", depth)
-    pp.add_argument("--y", type=float, required=True)
+    pp.add_argument("--y", type=_number, required=True)
 
     wp = command("variation", _cmd_variation, TEXT, "rank-n variation lower bound")
-    wp.add_argument("--rank", type=int, required=True)
+    wp.add_argument("--rank", type=_integer, required=True)
     return p
 
 
@@ -157,9 +178,9 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
       quotients give the level rows, grouped by ``extrema._level_rows``
       (``level_set`` per row) and formatted by ``_level_row``;
     - ``exponents`` and ``singular``: ``holder._global_value``,
-      ``holder._typical`` (the a.e. exponent and the singularity predicate
-      from one pair of sums) and ``holder._binary_value``, with no report
-      built;
+      ``holder._frequency_formula`` at nu = q (the a.e. exponent and the
+      singularity predicate, from the one kernel of the frequency formula)
+      and ``holder._binary_value``, with no report built;
     - ``maxima_set``: ``extrema.maxima_set`` itself, which cross-checks M,
       V(M) and m against the solver before anything else is reported;
     - ``non_invariance``: ``extrema.non_invariance_certificate`` itself: the
@@ -202,7 +223,7 @@ def build_analysis(config: SystemConfig, tolerance: float, depth: int | None) ->
     rows = extrema._level_rows(forms.quotients, tolerance)
     levels = [_level_row(y, digits, tolerance) for y, digits in rows]
 
-    typical, singular = holder._typical(system)
+    typical, singular = holder._frequency_formula(system, system.Q.q)
     exponents = {
         key: {"value": value, "tolerance": ANALYZE_TOL}
         for key, value in (
@@ -392,15 +413,15 @@ def _cmd_holder(args, config: SystemConfig, fmt: str) -> str:
         report = holder.almost_everywhere_exponent(system)
     elif args.nu is not None:
         try:
-            nu = tuple(float(t) for t in args.nu.split(","))
-        except ValueError as exc:
+            nu = tuple(map(_number, args.nu.split(",")))
+        except argparse.ArgumentTypeError as exc:
             raise ValidationError(f"--nu must be comma-separated numbers; got {args.nu!r}") from exc
         report = holder.local_exponent_unary(system, FrequencyVector(nu, n=0, exact=True))
     elif args.digits is not None:
-        # ASCII digits after an optional "-": int() alone would also take "+1", "1_0", " 1", "٣"
-        if not re.fullmatch(r"-?[0-9]+:-?[0-9]+", args.ranks):
+        first, colon, last = args.ranks.partition(":")
+        if not (colon and _INTEGER.fullmatch(first) and _INTEGER.fullmatch(last)):
             raise ValidationError(f"--ranks must be A:B with integers; got {args.ranks!r}")
-        first, last = map(int, args.ranks.split(":"))
+        first, last = int(first), int(last)
         if first < 1 or last > MAX_DEPTH:  # checked before the library lists every rank
             raise ValidationError(
                 f"--ranks A:B needs A >= 1 and B at most the cap of {MAX_DEPTH}; got {args.ranks!r}"

@@ -7,6 +7,8 @@ logarithms of the partition weights, read off ``SelfAffineSystem.logs``
 * global:            min_i ln|g_i| / ln q_i
 * at digit frequencies nu (points with two-sided approach, nu_0, nu_{s-1} < 1):
                      sum_i nu_i ln|g_i| / sum_i nu_i ln q_i
+  computed by one kernel, ``_frequency_formula``, for every nu: the unary
+  exponent, the a.e. exponent (nu = q) and the singularity predicate
 * at twin (two-expansion) points:
                      min(ln|g_0| / ln q_0, ln|g_{s-1}| / ln q_{s-1})
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import accumulate
 from typing import Iterable
 
 from .codec import DigitString, FrequencyVector, Frozen, check_count
@@ -89,34 +92,31 @@ def local_exponent_unary(system: SelfAffineSystem, nu: FrequencyVector) -> Holde
         raise HypothesisViolated(
             "frequency formula requires nu_0 < 1 and nu_{s-1} < 1"
         )
-    log_q, log_g = system.logs
-    num = math.fsum(v * lg for v, lg in zip(nu.nu, log_g) if v > 0.0)
-    den = math.fsum(v * lq for v, lq in zip(nu.nu, log_q) if v > 0.0)
-    return HolderReport(exponent=num / den, kind="local_unary", frequencies_used=nu)
+    exponent = _frequency_formula(system, nu.nu)[0]
+    return HolderReport(exponent=exponent, kind="local_unary", frequencies_used=nu)
 
 
-def _typical(system: SelfAffineSystem) -> tuple[float, bool]:
-    """The a.e. exponent and the singularity predicate, from one pair of typical-point sums.
+def _frequency_formula(system: SelfAffineSystem, nu: tuple[float, ...]) -> tuple[float, bool]:
+    """The frequency formula at ``nu``, and whether its numerator is below its denominator.
 
-    The sums are the frequency formula's at nu = q: ``sum q_i ln|g_i|`` and
-    ``sum q_i ln q_i``.  The exponent is their quotient; f is singular when
-    the first is below the second.
+    The sums are ``sum nu_i ln|g_i|`` and ``sum nu_i ln q_i``; the exponent is
+    their quotient, and the flag says it exceeds 1.  Every log is finite and
+    negative (validation keeps q_i and |g_i| in (0, 1)), so a zero frequency
+    adds a signed zero, which leaves each correctly rounded sum as it is.
     """
     log_q, log_g = system.logs
-    q = system.Q.q
-    num, den = math.fsum(map(operator.mul, q, log_g)), math.fsum(map(operator.mul, q, log_q))
+    num, den = math.fsum(map(operator.mul, nu, log_g)), math.fsum(map(operator.mul, nu, log_q))
     return num / den, num < den
 
 
 def almost_everywhere_exponent(system: SelfAffineSystem) -> HolderReport:
     """Exponent at Lebesgue-typical points: digit frequencies equal the weights.
 
-    The weights always meet ``local_exponent_unary``'s hypotheses, and its
-    sums at nu = q are those of ``_typical``, so this is its value, bit for
-    bit.  ``cli.build_analysis`` reads the exponent from ``_typical`` with
-    the singularity predicate, and builds no report.
+    The weights always meet ``local_exponent_unary``'s hypotheses; both read
+    ``_frequency_formula``, here at nu = q.  ``cli.build_analysis`` reads the
+    exponent there with the singularity predicate, and builds no report.
     """
-    exponent = _typical(system)[0]
+    exponent = _frequency_formula(system, system.Q.q)[0]
     nu = FrequencyVector(system.Q.q, n=0, exact=True)
     return HolderReport(exponent=exponent, kind="almost_everywhere", frequencies_used=nu)
 
@@ -146,18 +146,11 @@ def empirical_exponent(
     if not rank_list:
         raise ValidationError("ranks must be a non-empty collection of integers >= 1")
     digits = d.head(rank_list[-1])  # InsufficientDepth for short truncated input
-    log_w = []
-    log_o = []
-    acc_w = 0.0
-    acc_o = 0.0
-    want = set(rank_list)
     log_q, log_g = system.logs
-    for n, dig in enumerate(digits, start=1):
-        acc_w += log_q[dig]
-        acc_o += log_g[dig]
-        if n in want:
-            log_w.append(acc_w)
-            log_o.append(acc_o)
+    sums_w = list(accumulate(map(log_q.__getitem__, digits)))
+    sums_o = list(accumulate(map(log_g.__getitem__, digits)))
+    log_w = [sums_w[n - 1] for n in rank_list]
+    log_o = [sums_o[n - 1] for n in rank_list]
     if len(rank_list) == 1:
         slope = log_o[0] / log_w[0]
     else:
@@ -177,9 +170,10 @@ def singularity_predicate(system: SelfAffineSystem) -> bool:
     """True when f is singular: zero derivative at Lebesgue-almost every point.
 
     Sufficient criterion: the typical-point exponent exceeds 1, i.e.
-    sum q_i ln|g_i| < sum q_i ln q_i (read from ``_typical``).
+    sum q_i ln|g_i| < sum q_i ln q_i (the flag of ``_frequency_formula`` at
+    nu = q).
     """
-    return _typical(system)[1]
+    return _frequency_formula(system, system.Q.q)[1]
 
 
 def nowhere_differentiable_predicate(system: SelfAffineSystem) -> bool:

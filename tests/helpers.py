@@ -272,6 +272,37 @@ def reference_level_rows(quotients, tol: float) -> list[tuple[float, list[int]]]
     return [(y, sorted(digits)) for y, digits in rows]
 
 
+def reference_unary_sums(system: SelfAffineSystem, nu) -> tuple[float, float]:
+    """The frequency formula's sums ``(sum nu_i ln|g_i|, sum nu_i ln q_i)`` over the
+    non-zero frequencies only, as ``holder.local_exponent_unary`` summed them before
+    its one kernel, kept as an oracle."""
+    log_q, log_g = system.logs
+    num = math.fsum(v * lg for v, lg in zip(nu, log_g) if v > 0.0)
+    den = math.fsum(v * lq for v, lq in zip(nu, log_q) if v > 0.0)
+    return num, den
+
+
+def reference_empirical(system: SelfAffineSystem, d: DigitString, ranks) -> float:
+    """``holder.empirical_exponent``'s slope from its rank loop as it was before the running
+    sums: one pass over the digits from 0.0, keeping the sums at each requested rank."""
+    from statistics import linear_regression
+
+    rank_list = sorted(set(ranks))
+    log_w, log_o = [], []
+    acc_w = acc_o = 0.0
+    want = set(rank_list)
+    log_q, log_g = system.logs
+    for n, dig in enumerate(d.head(rank_list[-1]), start=1):
+        acc_w += log_q[dig]
+        acc_o += log_g[dig]
+        if n in want:
+            log_w.append(acc_w)
+            log_o.append(acc_o)
+    if len(rank_list) == 1:
+        return log_o[0] / log_w[0]
+    return linear_regression(log_w, log_o).slope
+
+
 def reference_leaves(system: SelfAffineSystem, points: int, depth: int | None = None):
     """Left ends and values ``[(x, f)]`` of the cylinders ``sample`` stops at, in digit order.
 

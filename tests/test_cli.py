@@ -34,6 +34,12 @@ CONFIG_DIR = ROOT / "configs"
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(qsaffine.__file__).resolve().parents[1]))
 
 
+# Integer and number arguments are ASCII text: each of these exits 2, though int() or
+# float() alone reads most of them.
+BAD_INTEGERS = ("1_0", "+3", " 3", "3 ", "\u0663", "\uff11", "3.0", "")
+BAD_NUMBERS = ("1_0", "0.2_5", "\u0660.\u0665", "\uff11", " \u0663 ", "0x1", "")
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -346,6 +352,8 @@ class TestExitCodes:
             (["eval", "--digits", "\uff11,(2)"], "ValidationError", "cantor_max"),
             (["holder", "--nu", "x,y,z"], "ValidationError", "cantor_max"),
             (["holder", "--nu", "nan,0.5,0.2,0.3"], "ValidationError", "cantor_max"),
+            (["holder", "--nu", "0.2_5,0.25,0.25,0.25"], "ValidationError", "cantor_max"),
+            (["holder", "--nu", "\uff10.5,0.5,0,0"], "ValidationError", "cantor_max"),
             (["level", "--y", "nan"], "ValidationError", "cantor_max"),
             (["level", "--y", "inf"], "ValidationError", "cantor_max"),
             (["level", "--y", "5", "--tolerance", "inf"], "ValidationError", "cantor_max"),
@@ -364,7 +372,8 @@ class TestExitCodes:
             "empty-digit-before-period", "blank-digit-before-period", "empty-first-digit",
             "period-without-comma", "period-without-comma-after-prefix", "digit-plus-sign",
             "digit-minus-zero", "digit-underscore", "digit-arabic-indic", "digit-fullwidth", "nu-not-numbers",
-            "nu-nan", "level-y-nan", "level-y-inf", "level-tolerance-inf", "sample-depth-0", "sample-depth-negative",
+            "nu-nan", "nu-underscore", "nu-fullwidth", "level-y-nan", "level-y-inf", "level-tolerance-inf",
+            "sample-depth-0", "sample-depth-negative",
             "analyze-depth-0", "analyze-depth-negative", "variation-overflow-rough",
             "variation-overflow-cantor",
         ],
@@ -373,6 +382,36 @@ class TestExitCodes:
         rc, _, err = run(capsys, *argv, "--config", cfg(config))
         assert rc == 2
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["analyze"], "--depth"),
+            (["sample", "--points", "5", "--format", "csv"], "--depth"),
+            (["sample", "--format", "csv"], "--points"),
+            (["cantor"], "--steps"),
+            (["encode", "--x", "0.3"], "--depth"),
+            (["eval", "--x", "0.3"], "--depth"),
+            (["preimage", "--y", "0.5"], "--depth"),
+            (["variation"], "--rank"),
+            (["encode"], "--x"),
+            (["eval"], "--x"),
+            (["level"], "--y"),
+            (["preimage"], "--y"),
+            (["analyze"], "--tolerance"),
+            (["level", "--y", "0.5"], "--tolerance"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_number_flags_take_ascii_text_only(self, capsys, argv, flag):
+        # argparse rejects each token (exit 2, nothing on stdout) before any config is read.
+        tokens = BAD_NUMBERS if flag in ("--x", "--y", "--tolerance") else BAD_INTEGERS
+        for token in tokens:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"{flag}={token}", "--config", cfg("cantor_max")])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert f"argument {flag}: expected" in err and repr(token) in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -443,6 +482,14 @@ class TestExitCodes:
         rc, out, err = run(capsys, "analyze", "--config", cfg("cantor_max"))
         assert (rc, out) == (EXIT_INTERNAL, "")
         assert json.loads(err)["error"] == "CertificationError"
+
+    def test_witness_residual_above_its_bound_is_5(self, capsys, monkeypatch):
+        # The y = 1 witness of the non-invariance certificate, checked against a bound below it.
+        monkeypatch.setattr(extrema, "preimage_residual_bound", lambda system, depth: 0.0)
+        rc, out, err = run(capsys, "analyze", "--config", cfg("rough_s3"))
+        assert (rc, out) == (EXIT_INTERNAL, "")
+        diag = json.loads(err)
+        assert diag["error"] == "CertificationError" and "exceeds the guaranteed bound 0.0" in diag["message"]
 
     def test_unsupported_format_is_2(self, capsys):
         rc, _, err = run(capsys, "analyze", "--config", cfg("identity"), "--format", "csv")
@@ -917,6 +964,21 @@ class TestDepthCap:
             assert json.loads(err)["message"] == f"--ranks must be A:B with integers; got {ranks!r}"
         rc, out, _ = run(capsys, *argv, "--ranks=2:5")
         assert rc == 0 and out
+
+    @pytest.mark.parametrize("token", [*BAD_INTEGERS, "-", "--1", "7", "-7", "0", "007"])
+    def test_ranks_take_the_integer_flags_tokens(self, capsys, token):
+        # Each end of --ranks is malformed exactly where an integer flag rejects the token.
+        try:
+            cli._integer(token)
+        except argparse.ArgumentTypeError:
+            integer = False
+        else:
+            integer = True
+        argv = ["holder", "--config", cfg("cantor_max"), "--digits", "(1,2)"]
+        for ranks in (f"{token}:5", f"1:{token}"):
+            rc, _, err = run(capsys, *argv, f"--ranks={ranks}")
+            message = json.loads(err)["message"] if rc else None
+            assert (message == f"--ranks must be A:B with integers; got {ranks!r}") != integer, ranks
 
     def test_points_above_cap_is_2_before_the_walk(self, capsys, monkeypatch):
         walked = []

@@ -438,6 +438,19 @@ class TestDerivedLevels:
         with pytest.raises(PreconditionViolated):
             derived_levels(LEVEL_SETS, 0.3, 2)
 
+    def test_witness_off_by_more_than_tol_is_certification_error(self, monkeypatch):
+        # Each derived level is certified by its witness's value; one that misses
+        # y_n by twice the tolerance is a failed cross-check, not a level.
+        real = extrema.evaluate
+
+        def off(system, d):
+            got = real(system, d)
+            return got._replace(value=got.value + 2 * extrema.LEVEL_TOL)
+
+        monkeypatch.setattr(extrema, "evaluate", off)
+        with pytest.raises(CertificationError, match="witness for derived level 0.3125 evaluated to 0.3125000002"):
+            derived_levels(LEVEL_SETS, 0.625, 2)
+
     def test_requires_a_positive_zero_digit_ratio(self):
         # y = 0 is a continuum level, V = {0, 2}, but g_0 < 0 cannot shift it.
         system = SelfAffineSystem.from_values((0.25,) * 4, (-0.5, 0.5, 0.5, 0.5))
@@ -567,6 +580,38 @@ class TestMoran:
             patch.setattr(extrema, "repeat", recording_repeat)
             got = extrema._moran_root(Q, V)
         assert (got, mids) == want
+
+    @pytest.mark.parametrize(
+        "expm1, settles",
+        [(lambda v: math.nan, False), (lambda v, real=math.expm1: 0.5 * real(v), True)],
+        ids=["newton-not-settled", "checks-fail-after-widening"],
+    )
+    def test_window_fallbacks_keep_the_bits(self, monkeypatch, expm1, settles):
+        # Both (0, 1) fallbacks of _moran_window, with math.expm1 (the gap 1 - w_t^x)
+        # patched for the length of the window's call only: a NaN gap keeps Newton
+        # from settling in its 10 steps; a halved gap lets it settle, but off the
+        # root, so the checks at both ends fail through every widening.  The root
+        # then bisects (0, 1), bit for bit plain bisection.
+        real_window, windows, steps = extrema._moran_window, [], []
+
+        def patched_window(weights):
+            steps.append(0)
+
+            def counting_expm1(v):
+                steps[-1] += 1
+                return expm1(v)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(math, "expm1", counting_expm1)
+                windows.append(real_window(weights))
+            return windows[-1]
+
+        monkeypatch.setattr(extrema, "_moran_window", patched_window)
+        roots = [(CANTOR_MAX.Q, {0, 1, 2}), (LEVEL_SETS.Q, {1, 3}), (SINGULAR_S3.Q, {0, 1})]
+        for Q, allowed in roots:
+            assert moran_dimension(Q, allowed) == reference_moran(Q, allowed)
+        assert windows == [(0.0, 1.0)] * len(roots)
+        assert all(0 < n < 10 if settles else n == 10 for n in steps), steps
 
     @staticmethod
     def count_sums(monkeypatch, root, Q, allowed):
@@ -871,6 +916,29 @@ class TestNonInvariance:
 
     def test_deterministic(self):
         assert non_invariance_certificate(CANTOR_MAX) == non_invariance_certificate(CANTOR_MAX)
+
+    def test_dimension_of_one_is_certification_error(self, monkeypatch):
+        # "Below 1" is strict: a root of exactly 1.0 fails, one ulp below it passes.
+        monkeypatch.setattr(extrema, "_moran_root", lambda Q, V: 1.0)
+        with pytest.raises(CertificationError, match="restricted digit set must have dimension below 1"):
+            non_invariance_certificate(CANTOR_MAX)
+        below = math.nextafter(1.0, 0.0)
+        monkeypatch.setattr(extrema, "_moran_root", lambda Q, V: below)
+        assert non_invariance_certificate(CANTOR_MAX).dimension == below
+
+    def test_witness_residual_above_its_bound_is_certification_error(self, monkeypatch):
+        # The residual check is inclusive: a bound equal to rough_s3's real
+        # residual (3e-12 at depth 64) passes, one ulp below it fails.
+        system = load_config(CONFIG_DIR / "rough_s3.cfg").system()
+        residual = non_invariance_certificate(system).max_residual
+        assert residual > 0.0
+        monkeypatch.setattr(extrema, "preimage_residual_bound", lambda system, depth: residual)
+        report = non_invariance_certificate(system)
+        assert report.residual_bound == report.max_residual == residual
+        below = math.nextafter(residual, 0.0)
+        monkeypatch.setattr(extrema, "preimage_residual_bound", lambda system, depth: below)
+        with pytest.raises(CertificationError, match=f"witness residual {residual!r} exceeds the guaranteed bound"):
+            non_invariance_certificate(system)
 
     def test_outside_regime(self):
         with pytest.raises(ConditionsNotMet):

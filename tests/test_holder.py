@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qsaffine import (
     AlphabetMismatch,
@@ -20,6 +21,7 @@ from qsaffine import (
     nowhere_differentiable_predicate,
     singularity_predicate,
 )
+from qsaffine import holder
 from helpers import (
     CANTOR_MAX,
     DEEP_MIN_S3,
@@ -29,6 +31,8 @@ from helpers import (
     SINGULAR_S3,
     random_admissible_system,
     random_two_sided_period,
+    reference_empirical,
+    reference_unary_sums,
 )
 
 
@@ -145,6 +149,48 @@ class TestEmpiricalExponent:
     def test_truncated_needs_depth(self):
         with pytest.raises(InsufficientDepth):
             empirical_exponent(CANTOR_MAX, DigitString((1, 2), None, 4), [5])
+
+
+def drawn_string(data, rng, s, length):
+    """A string over a drawn subset of the digits, so that zero frequencies are common:
+    ``length`` digits truncated, or a prefix and a period taken from them."""
+    allowed = sorted(data.draw(st.sets(st.integers(0, s - 1), min_size=1)))
+    digits = [allowed[i] for i in rng.integers(0, len(allowed), size=length)]
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, min(length - 1, 12)))
+        period = data.draw(st.integers(1, min(length - cut, 12)))
+        return DigitString(tuple(digits[:cut]), tuple(digits[cut:cut + period]), s)
+    return DigitString(tuple(digits), None, s)
+
+
+class TestOneKernel:
+    """The frequency formula has one kernel, ``holder._frequency_formula``; the sums it
+    replaced are kept in ``helpers`` and agree with it bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_unary_keeps_the_sums_over_non_zero_frequencies(self, seed, data):
+        rng = np.random.default_rng(seed)
+        system = random_admissible_system(rng, g_abs_max=data.draw(st.sampled_from((0.8, 0.99))))
+        d = drawn_string(data, rng, system.s, data.draw(st.integers(1, 40)))
+        nu = digit_frequencies(d) if d.period is not None else digit_frequencies(d, len(d.prefix))
+        if nu.nu[0] < 1.0 and nu.nu[-1] < 1.0:
+            num, den = reference_unary_sums(system, nu.nu)
+            assert holder._frequency_formula(system, nu.nu) == (num / den, num < den)
+            assert local_exponent_unary(system, nu).exponent == num / den
+        q = FrequencyVector(system.Q.q, n=0, exact=True)
+        ae = almost_everywhere_exponent(system)
+        assert ae.exponent == local_exponent_unary(system, q).exponent
+        assert ae.frequencies_used == q
+        assert singularity_predicate(system) == holder._frequency_formula(system, system.Q.q)[1]
+
+    @given(seed=st.integers(0, 2**32 - 1), ranks=st.sets(st.integers(1, 300), min_size=1), data=st.data())
+    def test_empirical_keeps_the_rank_loop(self, seed, ranks, data):
+        rng = np.random.default_rng(seed)
+        system = random_admissible_system(rng, g_abs_max=data.draw(st.sampled_from((0.8, 0.99))))
+        d = drawn_string(data, rng, system.s, max(ranks))
+        report = empirical_exponent(system, d, ranks)
+        assert report.exponent == reference_empirical(system, d, ranks)
+        assert report.regression_points == len(ranks)
 
 
 class TestPredicates:
